@@ -4,7 +4,8 @@ Subcommands: ``gen`` (instance files), ``detect`` (one method, one
 instance, JSON on stdout), ``sweep`` (overlap vs alpha CSV), ``spectrum``
 (dense eigenvalues as CSV and optional SVG scatter), ``popdyn``
 (asymptotic BP overlap).  Exit codes: 0 success, 2 typed detection
-failure (below threshold), 1 fault.
+failure (below threshold), 1 fault (bad input, I/O error, or a solver
+fault such as scipy's ``ArpackNoConvergence``).
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
         return EXIT_FAULT if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

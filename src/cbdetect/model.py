@@ -10,6 +10,7 @@ format.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,12 @@ import numpy as np
 from .rng import MAX_SEED, substream
 
 FORMAT_HEADER = "%cbm 1"
+_EDGE_CHUNK = 65_536  # edge rows formatted per write
+# The only bytes _parse_plain lets into the sigma line and the edge block:
+# on tokens made of them, numpy's integer parsers and int() agree.
+_PLAIN_BODY = b"0123456789- \n"
+# ASCII line boundaries of str.splitlines() besides "\n"
+_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 
 
 class InstanceFormatError(ValueError):
@@ -102,11 +109,16 @@ class CbmInstance:
                 raise ValueError("edges must satisfy i < j (no self-loops)")
             if not np.all(np.abs(w) == 1):
                 raise ValueError("edge weights must be +1 or -1")
-            order = np.lexsort((j, i))
-            edges = edges[order]
-            dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-            if np.any(dup):
-                raise ValueError("duplicate edge")
+            di, dj = np.diff(i), np.diff(j)
+            if np.all((di > 0) | ((di == 0) & (dj > 0))):
+                # already sorted and unique, as generated and written; the copy
+                # keeps the caller's array from aliasing the instance
+                edges = edges.copy()
+            else:
+                edges = edges[np.lexsort((j, i))]
+                dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
+                if np.any(dup):
+                    raise ValueError("duplicate edge")
         sigma.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -255,15 +267,14 @@ def empirical_alpha(instance: CbmInstance) -> float:
 
 def write_instance(instance: CbmInstance, path) -> None:
     """Serialize to the text instance format (see ``read_instance``)."""
-    lines = [FORMAT_HEADER]
-    lines.append(
-        f"{instance.n} {instance.m} {instance.params.epsilon!r} {instance.params.seed}"
-    )
-    lines.append("sigma")
-    lines.append(" ".join(str(int(s)) for s in instance.sigma))
-    for i, j, w in instance.edges:
-        lines.append(f"{i} {j} {w}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    params = instance.params
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(f"{FORMAT_HEADER}\n{instance.n} {instance.m} {params.epsilon!r} {params.seed}\nsigma\n")
+        f.write(" ".join(map(str, instance.sigma.tolist())) + "\n")
+        # chunked so the text of at most _EDGE_CHUNK rows is held at once
+        for s in range(0, instance.m, _EDGE_CHUNK):
+            rows = instance.edges[s : s + _EDGE_CHUNK]
+            f.write("%d %d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_instance(path) -> CbmInstance:
@@ -277,8 +288,21 @@ def read_instance(path) -> CbmInstance:
     The file does not carry the generation target alpha, so the returned
     params hold the realized average degree 2m/n instead.
     """
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    lines = [ln.strip() for ln in raw if not ln.lstrip().startswith("#")]
+    data = Path(path).read_bytes()
+    parsed = _parse_plain(data)
+    if parsed is None:  # decoded as Path.read_text does, universal newlines included
+        parsed = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    n, m, eps, seed, sigma, edges = parsed
+    alpha = 2.0 * m / n if m else 0.5 / n  # params require alpha > 0
+    try:
+        params = CbmParams(n=n, alpha=alpha, epsilon=eps, seed=seed)
+        return CbmInstance(params=params, sigma=sigma, edges=edges)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def _parse_header(lines: list) -> tuple:
+    """(n, m, epsilon, seed) from the comment-free, stripped lines of a file."""
     if not lines or lines[0] != FORMAT_HEADER:
         raise InstanceFormatError(f"bad header, expected {FORMAT_HEADER!r}")
     try:
@@ -288,6 +312,47 @@ def read_instance(path) -> CbmInstance:
         raise InstanceFormatError(f"bad size line: {exc}") from exc
     if len(lines) < 4 or lines[2] != "sigma":
         raise InstanceFormatError("missing 'sigma' marker line")
+    return n, m, eps, seed
+
+
+def _parse_plain(data: bytes):
+    """Vectorised parse of a file whose body holds only digits, '-', ' ' and newlines.
+
+    Returns None whenever the file is anything else (comments, CRLF,
+    non-ASCII bytes, '+' signs) or does not parse to the shapes its header
+    states; ``_parse_lines`` then decides, so both paths accept the same
+    files with the same contents and reject the rest with the same message.
+    """
+    parts = data.split(b"\n", 4)
+    if len(parts) < 5:
+        return None
+    head = b"\n".join(parts[:3])
+    sigma_line, block = parts[3], parts[4]
+    if (
+        len(head.translate(None, _LINE_BREAKS)) != len(head)
+        or sigma_line.translate(None, _PLAIN_BODY)
+        or block.translate(None, _PLAIN_BODY)
+    ):
+        return None
+    try:
+        n, m, eps, seed = _parse_header([p.decode("ascii").strip() for p in parts[:4]])
+        # str.splitlines() counts a last line without its newline, not an empty tail
+        n_lines = block.count(b"\n") + (not block.endswith(b"\n")) if block else 0
+        if m == 0 or n_lines != m:  # loadtxt warns on an empty block
+            return None
+        sigma = np.array(sigma_line.split(), dtype=np.int64)
+        edges = np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if sigma.shape != (n,) or edges.shape != (m, 3):
+        return None
+    return n, m, eps, seed, sigma, edges
+
+
+def _parse_lines(text: str) -> tuple:
+    """Line-by-line parse of any file; the reference for ``_parse_plain``."""
+    lines = [ln.strip() for ln in text.splitlines() if not ln.lstrip().startswith("#")]
+    n, m, eps, seed = _parse_header(lines)
     try:
         sigma = np.array([int(t) for t in lines[3].split()], dtype=np.int64)
     except ValueError as exc:
@@ -306,9 +371,4 @@ def read_instance(path) -> CbmInstance:
             edges[k] = [int(t) for t in toks]
         except ValueError as exc:
             raise InstanceFormatError(f"bad edge line {k}: {exc}") from exc
-    alpha = 2.0 * m / n if m else 0.5 / n  # params require alpha > 0
-    try:
-        params = CbmParams(n=n, alpha=alpha, epsilon=eps, seed=seed)
-        return CbmInstance(params=params, sigma=sigma, edges=edges)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    return n, m, eps, seed, sigma, edges

@@ -91,10 +91,7 @@ def test_criterion_03_bulk_confinement():
 
 
 def test_criterion_04_bethe_hessian_index():
-    # NOTE: measured pass rates at n=2000 are ~0.81 (alpha=3, zero negatives)
-    # and ~0.96 (alpha=8, exactly one), so the >= 18/20 bar fails for most
-    # seed sets; the criterion is kept verbatim and the seeds are a fixed
-    # honest derivation.  See the project decision log.
+    # Expected to fail; kept verbatim.  See docs/decisions.md.
     hits = {}
     counts = {}
     for alpha, target in ((3.0, 0), (8.0, 1)):

@@ -4,8 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from cbdetect import CbmParams, generate, write_instance
+from cbdetect import CbmParams, cli, generate, write_instance
 from cbdetect.cli import EXIT_DETECTION_FAILED, EXIT_FAULT, EXIT_OK, SweepSpec, main
 
 
@@ -254,6 +255,16 @@ class TestExitCodeMatrix:
         assert main(typed) == EXIT_DETECTION_FAILED
         assert main(fault) == EXIT_FAULT
         capsys.readouterr()
+
+    def test_solver_fault_exit_one(self, capsys, monkeypatch, above_file):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(cli, "detect", no_convergence)
+        code, out, err = run_cli(capsys, "detect", "--in", above_file, "--methods", "BH")
+        assert code == EXIT_FAULT
+        assert out == ""
+        assert err == "error: ARPACK error -1: No convergence\n"
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_FAULT

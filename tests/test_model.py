@@ -1,6 +1,8 @@
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +24,37 @@ from cbdetect import (
     sign_pm1,
     write_instance,
 )
+from cbdetect import model
 from cbdetect.model import _decode_pair_indices, _sample_pair_indices
 from cbdetect.rng import substream
+
+# written by the line-at-a-time writer that preceded the vectorised one
+GOLDEN = Path(__file__).parent / "data" / "golden.cbm"
+GOLDEN_PARAMS = CbmParams(n=200, alpha=6.0, epsilon=0.25, seed=20260)
+
+MALFORMED = {
+    "%cbm 2\n2 1 0.25 3\nsigma\n1 -1\n0 1 -1\n": "bad header, expected '%cbm 1'",
+    "%cbm 1\n2 1 0.25 3\nsigma\n1 -1\n0 5 -1\n": "edge endpoint out of range",
+    "%cbm 1\n2 1 0.25 3\nsigma\n1 -1\n0 1 2\n": "edge weights must be +1 or -1",
+    "%cbm 1\n3 2 0.25 3\nsigma\n1 -1 1\n0 1 1\n0 1 -1\n": "duplicate edge",
+    "%cbm 1\n2 2 0.25 3\nsigma\n1 -1\n0 1 1\n": "expected 2 edge lines, got 1",
+    "%cbm 1\n2 1 0.25 3\nsigma\n1 -1 1\n0 1 1\n": "expected 2 sigma entries, got 3",
+    "%cbm 1\n2 1 0.9 3\nsigma\n1 -1\n0 1 1\n": "epsilon must lie in [0, 0.5], got 0.9",
+}
+
+# a valid file small enough for byte-level mutation, and the bytes to mutate it with
+SMALL_FILE = b"%cbm 1\n6 4 0.25 3\nsigma\n1 -1 1 1 -1 -1\n0 1 -1\n0 4 1\n2 3 1\n3 5 -1\n"
+MUTATIONS = [b"", b"0", b"7", b"-", b" ", b"  ", b"\n", b"\n\n", b"\r", b"\t", b"#", b"+",
+             b"_", b"\x0b", b"\x1c", b"\xc2\x85", b"\xff", b"x", b".", b"99999999999999999999"]
+
+
+def _outcome(path):
+    """Comparable summary of a read: the contents, or the error type and message."""
+    try:
+        inst = read_instance(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc).__name__, str(exc)
+    return inst.params, inst.sigma.tolist(), inst.edges.tolist()
 
 
 class TestParams:
@@ -219,6 +250,15 @@ class TestInstanceValidation:
             CbmInstance(params=params, sigma=np.ones(3, dtype=np.int64),
                         edges=np.array([[0, 1, 2]]))
 
+    def test_sorts_edges_and_copies_input(self):
+        params = CbmParams(n=4, alpha=1, epsilon=0.1, seed=0)
+        for rows in ([[2, 3, 1], [0, 1, -1], [0, 3, 1]], [[0, 1, -1], [0, 3, 1], [2, 3, 1]]):
+            given_edges = np.array(rows)
+            inst = CbmInstance(params=params, sigma=np.ones(4, dtype=np.int64), edges=given_edges)
+            assert inst.edges.tolist() == [[0, 1, -1], [0, 3, 1], [2, 3, 1]]
+            given_edges[0, 2] = 7
+            assert inst.edges.tolist() == [[0, 1, -1], [0, 3, 1], [2, 3, 1]]
+
     def test_immutable_arrays(self, triangle):
         with pytest.raises(ValueError):
             triangle.sigma[0] = -1
@@ -270,23 +310,77 @@ class TestInstanceFile:
         inst = read_instance(path)
         assert inst.m == 1 and inst.edges[0, 2] == -1
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "%cbm 2\n2 1 0.25 3\nsigma\n1 -1\n0 1 -1\n",  # bad header
-            "%cbm 1\n2 1 0.25 3\nsigma\n1 -1\n0 5 -1\n",  # index out of range
-            "%cbm 1\n2 1 0.25 3\nsigma\n1 -1\n0 1 2\n",  # weight not +-1
-            "%cbm 1\n3 2 0.25 3\nsigma\n1 -1 1\n0 1 1\n0 1 -1\n",  # duplicate edge
-            "%cbm 1\n2 2 0.25 3\nsigma\n1 -1\n0 1 1\n",  # edge count mismatch
-            "%cbm 1\n2 1 0.25 3\nsigma\n1 -1 1\n0 1 1\n",  # sigma length
-            "%cbm 1\n2 1 0.9 3\nsigma\n1 -1\n0 1 1\n",  # epsilon out of range
-        ],
-    )
+    @pytest.mark.parametrize("body", list(MALFORMED))
     def test_malformed_files_rejected(self, tmp_path, body):
         path = tmp_path / "bad.cbm"
         path.write_text(body)
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(MALFORMED[body])}$"):
             read_instance(path)
+
+    def test_golden_file_bytes_and_contents(self, tmp_path):
+        inst = generate(GOLDEN_PARAMS)
+        path = tmp_path / "golden.cbm"
+        write_instance(inst, path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+        back = read_instance(GOLDEN)
+        assert np.array_equal(back.sigma, inst.sigma)
+        assert np.array_equal(back.edges, inst.edges)
+        assert back.params.epsilon == GOLDEN_PARAMS.epsilon
+        assert back.params.seed == GOLDEN_PARAMS.seed
+
+    def test_plain_file_skips_line_parser(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "_parse_lines", lambda text: calls.append(text))
+        assert read_instance(GOLDEN).m == 633
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("%cbm 1\n3 2 0.25 3\nsigma\n1 -1 1\n0 1 -1\n# mid\n1 2 1\n",
+             [[0, 1, -1], [1, 2, 1]]),
+            ("%cbm 1\n3 1 0.25 3\nsigma\n1 -1 1\n0 2 +1\n", [[0, 2, 1]]),
+            ("%cbm 1\n12 1 0.25 3\nsigma\n" + "1 " * 12 + "\n0 1_0 1\n", [[0, 10, 1]]),
+            ("%cbm 1\r\n3 1 0.25 3\r\nsigma\r\n1 -1 1\r\n1 2 -1\r\n", [[1, 2, -1]]),
+            ("%cbm 1\n3 0 0.25 3\nsigma\n1 -1 1\n", []),
+            ("%cbm 1\n3 2 0.25 3\nsigma\n1 -1 1\n0 1\n0 1 2 1\n", "bad edge line 0: '0 1'"),
+        ],
+        ids=["comment", "plus-sign", "underscore", "crlf", "no-edges", "ragged"],
+    )
+    def test_line_parser_fallback(self, tmp_path, monkeypatch, body, expected):
+        calls = []
+        parse_lines = model._parse_lines
+
+        def spy(text):
+            calls.append(text)
+            return parse_lines(text)
+
+        monkeypatch.setattr(model, "_parse_lines", spy)
+        path = tmp_path / "f.cbm"
+        path.write_bytes(body.encode())
+        if isinstance(expected, str):
+            with pytest.raises(InstanceFormatError, match=f"^{re.escape(expected)}$"):
+                read_instance(path)
+        else:
+            assert read_instance(path).edges.tolist() == expected
+        assert len(calls) == 1
+
+    @given(edits=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.sampled_from(MUTATIONS), st.booleans()),
+        min_size=1, max_size=3,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_and_line_parsers_agree(self, edits):
+        data = bytearray(SMALL_FILE)
+        for pos, token, replace in edits:
+            pos %= len(data) + 1
+            data[pos:pos + replace] = token
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.cbm"
+            path.write_bytes(bytes(data))
+            fast = _outcome(path)
+            with mock.patch.object(model, "_parse_plain", lambda data: None):
+                assert _outcome(path) == fast
 
     @given(
         n=st.integers(min_value=2, max_value=40),
