@@ -270,13 +270,9 @@ def cmd_spectrum(args) -> int:
             f"matrix dimension {matrix.nrows} above dense cap {DENSE_CAP}; use a smaller n"
         )
     spec = dense_spectrum(matrix.to_dense())
-    if args.out is not None:
-        spectrum_to_csv(spec, args.out)
-    else:
-        eig = spec.eigenvalues[np.lexsort((spec.eigenvalues.imag, spec.eigenvalues.real))]
-        print("re,im")
-        for z in eig:
-            print(f"{float(z.real)!r},{float(z.imag)!r}")
+    csv = spectrum_to_csv(spec, args.out)
+    if args.out is None:
+        sys.stdout.write(csv)
     if args.svg is not None:
         spectrum_to_svg(spec, args.svg, radius=math.sqrt(empirical_alpha(inst)))
     return EXIT_OK

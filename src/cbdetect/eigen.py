@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import SparseMatrix, build_bprime
+from .operators import SparseMatrix
 from .rng import substream
 
 DENSE_CAP = 5000
@@ -187,18 +187,14 @@ def dense_spectrum(matrix: np.ndarray, cap: int = DENSE_CAP) -> Spectrum:
     return Spectrum(eigenvalues=np.linalg.eigvals(matrix).astype(np.complex128))
 
 
-def second_eigenvalue_bound(instance, cap: int = DENSE_CAP) -> float:
-    """|lambda_2| of B' by modulus, from the dense oracle (tests only)."""
-    spec = dense_spectrum(build_bprime(instance).to_dense(), cap=cap)
-    mods = np.sort(spec.moduli())[::-1]
-    return float(mods[1]) if len(mods) > 1 else 0.0
-
-
-def spectrum_to_csv(spectrum: Spectrum, path) -> None:
-    """CSV dump, header ``re,im``, sorted for stable output."""
+def spectrum_to_csv(spectrum: Spectrum, path=None) -> str:
+    """CSV text, header ``re,im``, sorted for stable output; also written to ``path`` if given."""
     eig = spectrum.eigenvalues[np.lexsort((spectrum.eigenvalues.imag, spectrum.eigenvalues.real))]
     lines = ["re,im"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in eig]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def spectrum_to_svg(spectrum: Spectrum, path, radius: float, size: int = 640) -> None:

@@ -226,25 +226,20 @@ def bp_run(
     return _fill_overlap(out, instance)
 
 
-def _popdyn_fields(rng, pop, alpha, t_beta, flip_prob, count):
-    """Cavity fields for ``count`` fresh draws: sum of d ~ Poisson(alpha) terms each."""
+def _popdyn_draw(rng, pop, alpha, t_beta, flip_prob):
+    """A fresh population, each member tanh of a sum of d ~ Poisson(alpha) terms.
+
+    Serves both the message sweep and the marginal samples: the excess
+    degree of the Poisson(alpha) limit is again Poisson(alpha).
+    """
+    count = len(pop)
     d = rng.poisson(alpha, size=count)
     total = int(d.sum())
-    parents = pop[rng.integers(0, len(pop), size=total)]
+    parents = pop[rng.integers(0, count, size=total)]
     coupling = np.where(rng.random(total) < flip_prob, -t_beta, t_beta)
     terms = np.arctanh(np.clip(coupling * parents, -_ATANH_CLIP, _ATANH_CLIP))
     rows = np.repeat(np.arange(count), d)
-    return np.bincount(rows, weights=terms, minlength=count)
-
-
-def _popdyn_update(rng, pop, alpha, t_beta, eps):
-    """Message sweep; the excess degree of the Poisson(alpha) limit is again Poisson(alpha)."""
-    return np.tanh(_popdyn_fields(rng, pop, alpha, t_beta, eps, len(pop)))
-
-
-def _popdyn_marginals(rng, pop, alpha, t_beta, eps, count):
-    """Marginal samples, built from the full (Poisson(alpha)) degree."""
-    return np.tanh(_popdyn_fields(rng, pop, alpha, t_beta, eps, count))
+    return np.tanh(np.bincount(rows, weights=terms, minlength=count))
 
 
 def population_dynamics_core(
@@ -266,14 +261,14 @@ def population_dynamics_core(
     t_beta = math.tanh(beta)
     pop = rng.uniform(-0.1, 0.1, size=pop_size)
     for _ in range(equilibration_sweeps):
-        pop = _popdyn_update(rng, pop, alpha, t_beta, epsilon)
+        pop = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
     hits = 0.0
     draws = 0
     for _ in range(measurement_sweeps):
-        marg = _popdyn_marginals(rng, pop, alpha, t_beta, epsilon, pop_size)
+        marg = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
         hits += float(np.sum(marg > 0.0)) + 0.5 * float(np.sum(marg == 0.0))
         draws += pop_size
-        pop = _popdyn_update(rng, pop, alpha, t_beta, epsilon)
+        pop = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
     p = hits / draws
     return 2.0 * (max(p, 1.0 - p) - 0.5)
 

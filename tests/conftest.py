@@ -26,6 +26,14 @@ def make_instance(n, edges, sigma=None, epsilon=0.0, seed=1, alpha=None):
     )
 
 
+def dense_weight_matrix(instance):
+    """Dense symmetric J with J_ij = J_ji = the observed sign on edge (i, j), 0 elsewhere."""
+    i, j, w = instance.edges.T
+    dense = np.zeros((instance.n, instance.n))
+    dense[i, j] = dense[j, i] = w
+    return dense
+
+
 @pytest.fixture(scope="session")
 def triangle():
     return make_instance(3, [[0, 1, 1], [0, 2, 1], [1, 2, 1]])

@@ -19,7 +19,6 @@ from cbdetect import (
     build_b,
     build_bethe_hessian,
     build_bprime,
-    build_bundle,
     empirical_alpha,
     generate,
     population_dynamics,
@@ -29,7 +28,7 @@ from cbdetect import (
 )
 from cbdetect.cli import main
 from cbdetect.rng import derive_seed
-from conftest import conditioned_small_instance
+from conftest import conditioned_small_instance, dense_weight_matrix
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -115,7 +114,7 @@ def test_criterion_04_bethe_hessian_index():
 def test_criterion_05_ihara_bass(small_instances):
     worst = 0.0
     for inst in small_instances:
-        j = build_bundle(inst).j_matrix.to_dense()
+        j = dense_weight_matrix(inst)
         d = np.diag(inst.degrees().astype(float))
         eye = np.eye(inst.n)
         for lam in np.linalg.eigvals(build_bprime(inst).to_dense()):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from cbdetect import CbmParams, cli, generate, write_instance
 from cbdetect.cli import EXIT_DETECTION_FAILED, EXIT_FAULT, EXIT_OK, SweepSpec, main
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +152,17 @@ class TestSweep:
         )
         assert code == EXIT_FAULT
 
+    def test_golden_csv_bytes(self, capsys, tmp_path):
+        # three methods across the transition at n = 1000; any change to the
+        # generator, the operators or a solver shows up in these bytes
+        out = tmp_path / "golden.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--n", "1000", "--epsilon", "0.25", "--alpha", "3,4.5,8",
+            "--trials", "3", "--methods", "NB,BH,BP", "--seed", "5", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
+
     def test_alpha_range_flags(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         code, _, _ = run_cli(
@@ -183,6 +197,15 @@ class TestSpectrum:
         assert code == EXIT_OK
         lines = stdout.splitlines()
         assert lines[0] == "re,im" and len(lines) == 61
+
+    def test_stdout_bytes_equal_file_bytes(self, capsys, tmp_path):
+        args = ["spectrum", "--n", "40", "--alpha", "5", "--epsilon", "0.25", "--seed", "3"]
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(capsys, *args, "--out", str(out))
+        assert code == EXIT_OK
+        code, stdout, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        assert stdout.encode() == out.read_bytes()
 
     def test_bethe_operator_real_spectrum(self, capsys, tmp_path, triangle_file):
         out = tmp_path / "h.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,18 +14,37 @@ from cbdetect import (
     build_b,
     build_bethe_hessian,
     build_bprime,
-    build_bundle,
+    empirical_alpha,
     generate,
-    matvec,
     power_leading,
 )
 from cbdetect.rng import derive_seed, substream
-from conftest import make_instance
+from conftest import dense_weight_matrix, make_instance
 
 TRIANGLE_SPECTRUM = np.sort_complex(
     np.array([1.0, 1.0, np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 3),
               np.exp(-2j * np.pi / 3), np.exp(-2j * np.pi / 3)])
 )
+
+# (dtype, blake2b-128) of row_offsets, col_indices and values, per operator,
+# on generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
+GOLDEN_DIGESTS = {
+    "bprime": (400, 1465, [
+        ("<i8", "88a50ec4e998687d001190f6fdd1733b"),
+        ("<i8", "6fc14cfc34e261c5ddfe5e20ed236c29"),
+        ("<f8", "b85a54bca15e3c02663221778c7ab4f8"),
+    ]),
+    "bethe_hessian": (200, 1270, [
+        ("<i8", "c0c9dea3288c2de117658168fbb5eafd"),
+        ("<i8", "7df39ed9f81f9b0220ed37c2feedb36c"),
+        ("<f8", "3677445f4104c36803c044d4a8f89485"),
+    ]),
+    "b": (1070, 5802, [
+        ("<i8", "53c5adbc118aec3aebceeafa3a4efd46"),
+        ("<i8", "ef9ba2acac0d68622b9e3923df507226"),
+        ("<f8", "1b48511808298045894c1c31f76c1822"),
+    ]),
+}
 
 
 def assert_multiset_close(got, want, tol=1e-6):
@@ -42,12 +62,12 @@ class TestSparseMatrix:
     def test_matvec_identity_pattern(self):
         m = SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
         v = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(matvec(m, v), v)
+        assert np.array_equal(m.matvec(v), v)
 
     def test_matvec_dimension_mismatch(self):
         m = SparseMatrix.from_coo(2, 3, [0], [1], [1.0])
         with pytest.raises(ValueError):
-            matvec(m, np.ones(2))
+            m.matvec(np.ones(2))
 
     def test_matvec_matches_dense_on_random_pairs(self):
         # 1000 random (M, v) pairs at n <= 50, relative error 1e-12
@@ -62,11 +82,17 @@ class TestSparseMatrix:
             for _ in range(5):
                 for m, d in zip(mats, dense):
                     v = rng.standard_normal(m.ncols)
-                    got, want = matvec(m, v), d @ v
+                    got, want = m.matvec(v), d @ v
                     scale = np.linalg.norm(want) or 1.0
                     assert np.linalg.norm(got - want) / scale < 1e-12
                     count += 1
         assert count == 1000
+
+    def test_is_symmetric_compares_values(self):
+        # an explicit zero at (0, 1) matches the absent (1, 0)
+        assert SparseMatrix(2, 2, [0, 2, 3], [0, 1, 1], [1.0, 0.0, 2.0]).is_symmetric()
+        assert not SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]).is_symmetric()
+        assert not SparseMatrix.from_coo(2, 3, [0], [0], [1.0]).is_symmetric()
 
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -80,20 +106,6 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(1, 1, [0, 1], [0], [np.inf])  # non-finite
 
-    def test_coordinate_dump(self, tmp_path, triangle):
-        h = build_bethe_hessian(triangle, 2.0)
-        path = tmp_path / "h.coo"
-        h.dump_coordinate(path)
-        lines = path.read_text().splitlines()
-        nr, nc, nnz = (int(t) for t in lines[0].split())
-        assert (nr, nc, nnz) == (h.nrows, h.ncols, h.nnz)
-        assert len(lines) == 1 + nnz
-        rebuilt = np.zeros((nr, nc))
-        for ln in lines[1:]:
-            r, c, v = ln.split()
-            rebuilt[int(r), int(c)] = float(v)
-        assert np.array_equal(rebuilt, h.to_dense())
-
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30, deadline=None)
     def test_matvec_property(self, seed):
@@ -102,24 +114,40 @@ class TestSparseMatrix:
         v = substream(seed, "v").standard_normal(m.ncols)
         want = m.to_dense() @ v
         scale = np.linalg.norm(want) or 1.0
-        assert np.linalg.norm(matvec(m, v) - want) / scale < 1e-12
+        assert np.linalg.norm(m.matvec(v) - want) / scale < 1e-12
+
+
+class TestGoldenOperators:
+    """The assembled CSR arrays are pinned bit for bit, dtypes included."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_csr_arrays_match_digests(self, name):
+        inst = generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
+        build = {
+            "bprime": build_bprime,
+            "bethe_hessian": lambda i: build_bethe_hessian(i, math.sqrt(empirical_alpha(i))),
+            "b": build_b,
+        }[name]
+        m = build(inst)
+        got = [
+            (a.dtype.str, hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
+            for a in (m.row_offsets, m.col_indices, m.values)
+        ]
+        assert (m.nrows, m.nnz, got) == GOLDEN_DIGESTS[name]
 
 
 class TestDirectedEdgeIndex:
     def test_bijection_and_reverse(self, triangle):
         idx = DirectedEdgeIndex.from_instance(triangle)
         assert idx.count == 6
-        for k in range(6):
-            assert idx.reverse(idx.reverse(k)) == k
-            i, j = idx.pair_of(k)
-            assert idx.pair_of(idx.reverse(k)) == (j, i)
-            assert idx.index_of(i, j) == k
-            assert idx.weights[k] == idx.weights[idx.reverse(k)]
-
-    def test_missing_edge(self, path3):
-        idx = DirectedEdgeIndex.from_instance(path3)
-        with pytest.raises(KeyError):
-            idx.index_of(0, 2)
+        pairs = list(zip(idx.tails.tolist(), idx.heads.tolist()))
+        assert sorted(pairs) == [(i, j) for i in range(3) for j in range(3) if i != j]
+        assert all(i < j for i, j in pairs[0::2])  # ordinal 2e is the i<j orientation
+        rev = np.arange(6) ^ 1
+        assert np.array_equal(rev[rev], np.arange(6))
+        assert np.array_equal(idx.tails[rev], idx.heads)
+        assert np.array_equal(idx.heads[rev], idx.tails)
+        assert np.array_equal(idx.weights[rev], idx.weights)
 
 
 class TestNonBacktracking:
@@ -175,7 +203,7 @@ class TestBPrime:
         assert np.array_equal(dense[:n, :n], np.zeros((n, n)))
         assert np.array_equal(dense[:n, n:], np.diag(d - 1.0))
         assert np.array_equal(dense[n:, :n], -np.eye(n))
-        assert np.array_equal(dense[n:, n:], build_bundle(inst).j_matrix.to_dense())
+        assert np.array_equal(dense[n:, n:], dense_weight_matrix(inst))
 
     def test_nnz_block_count(self):
         inst = generate(CbmParams(n=60, alpha=3, epsilon=0.25, seed=15))
@@ -254,7 +282,7 @@ class TestBetheHessian:
 class TestIharaBass:
     def test_bprime_eigenvalues_make_h_singular(self, small_instances):
         for inst in small_instances[:10]:
-            j = build_bundle(inst).j_matrix.to_dense()
+            j = dense_weight_matrix(inst)
             d = np.diag(inst.degrees().astype(float))
             eye = np.eye(inst.n)
             for lam in np.linalg.eigvals(build_bprime(inst).to_dense()):
