@@ -174,30 +174,45 @@ def bp_fixed_point(
     cfg = cfg or BpConfig()
     index = DirectedEdgeIndex.from_instance(instance)
     n = instance.n
-    t_w = np.tanh(beta) * index.weights  # tanh(beta*J) with J = +-1
+    heads = index.heads.astype(np.intp, copy=False)  # bincount and take cast any other dtype per call
+    t = np.tanh(beta)
     if initial is not None:
         msgs = np.array(initial, dtype=np.float64)
         if msgs.shape != (index.count,):
             raise ValueError(f"initial messages must have shape ({index.count},)")
     else:
         msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=index.count)
-    state = BpState(messages=msgs, beta0=beta)
-    rev = np.arange(index.count) ^ 1
+
+    def contributions(m, out):
+        # atanh(tanh(beta*J) * m) with J = +-1: (J*m)*t rounds exactly as (J*t)*m
+        np.multiply(index.weights, m, out=out)
+        out *= t
+        np.clip(out, -_ATANH_CLIP, _ATANH_CLIP, out=out)
+        return np.arctanh(out, out=out)
+
+    # every sweep runs in three 2m buffers: msgs, contrib and work
     contrib = np.empty(index.count)
+    work = np.empty(index.count)
+    state = BpState(messages=msgs, beta0=beta)
     for sweep in range(1, cfg.max_sweeps + 1):
-        np.arctanh(np.clip(t_w * state.messages, -_ATANH_CLIP, _ATANH_CLIP), out=contrib)
-        site = np.bincount(index.heads, weights=contrib, minlength=n)
-        fresh = np.tanh(site[index.tails] - contrib[rev])
-        new = (1.0 - cfg.damping) * fresh + cfg.damping * state.messages
-        delta = float(np.max(np.abs(new - state.messages))) if index.count else 0.0
-        state.messages = new
+        site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
+        # work[k] = site[head(k)] - contrib[k], the cavity field of the reverse edge k ^ 1
+        np.take(site, heads, out=work, mode="clip")  # heads lie in [0, n): "clip" only skips take's buffer
+        np.subtract(work, contrib, out=work)
+        fresh = np.tanh(work.reshape(-1, 2)[:, ::-1], out=contrib.reshape(-1, 2)).reshape(-1)
+        fresh *= 1.0 - cfg.damping
+        np.multiply(msgs, cfg.damping, out=work)
+        new = np.add(fresh, work, out=work)
+        np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
+        delta = float(np.max(contrib)) if index.count else 0.0
+        msgs, work = new, msgs
+        state.messages = msgs
         state.sweeps = sweep
         state.max_delta.append(delta)
         if delta < cfg.tol:
             state.converged = True
             break
-    np.arctanh(np.clip(t_w * state.messages, -_ATANH_CLIP, _ATANH_CLIP), out=contrib)
-    marginals = np.tanh(np.bincount(index.heads, weights=contrib, minlength=n))
+    marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
     return state, marginals
 
 

@@ -15,6 +15,10 @@ Each is assembled from coordinate triples into one canonical
 B is only materialized on demand (tests, small n), with a vectorised
 expansion of each directed edge over its continuations; all large-n
 code paths go through B'.
+
+Index arrays (CSR offsets and columns, assembly coordinates, directed-edge
+heads) are int32 while the dimension, the nnz and 2m are below 2**31, and
+int64 beyond; ``index_dtype`` is that one rule (docs/decisions.md).
 """
 
 from __future__ import annotations
@@ -29,9 +33,17 @@ from .model import CbmInstance
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
 
 
+def index_dtype(*sizes: int) -> type:
+    """int32 while every size is below 2**31, else int64."""
+    return np.int32 if max(sizes, default=0) < 2**31 else np.int64
+
+
 @dataclass
 class SparseMatrix:
-    """Immutable compressed-row matrix; ``csr`` shares the three arrays without a copy."""
+    """Immutable compressed-row matrix; ``csr`` shares the three arrays without a copy.
+
+    The index arrays take the ``index_dtype`` of the shape and the nnz.
+    """
 
     nrows: int
     ncols: int
@@ -41,21 +53,22 @@ class SparseMatrix:
     csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
+        offsets, cols = np.asarray(self.row_offsets), np.asarray(self.col_indices)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.row_offsets.shape != (self.nrows + 1,):
+        # validated before the cast to the index dtype, which could wrap bad values
+        if offsets.shape != (self.nrows + 1,):
             raise ValueError("row_offsets must have length nrows+1")
-        if np.any(np.diff(self.row_offsets) < 0) or self.row_offsets[-1] != len(self.values):
-            raise ValueError("row_offsets must be monotone and end at nnz")
-        if len(self.col_indices) != len(self.values):
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0) or offsets[-1] != len(self.values):
+            raise ValueError("row_offsets must start at 0, be monotone and end at nnz")
+        if len(cols) != len(self.values):
             raise ValueError("col_indices and values must have equal length")
         if self.values.size and not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-        if self.col_indices.size and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.ncols
-        ):
+        if cols.size and (cols.min() < 0 or cols.max() >= self.ncols):
             raise ValueError("column index out of range")
+        idx = index_dtype(self.nrows, self.ncols, len(self.values))
+        self.row_offsets = offsets.astype(idx, copy=False)
+        self.col_indices = cols.astype(idx, copy=False)
         for arr in (self.row_offsets, self.col_indices, self.values):
             arr.setflags(write=False)
         self.csr = scipy.sparse.csr_array(
@@ -70,6 +83,7 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals) -> "SparseMatrix":
+        """Canonical CSR from coordinates; int32 coordinates pass to scipy without a copy."""
         vals = np.asarray(vals, dtype=np.float64)
         csr = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
         if csr.nnz != len(vals):  # tocsr sums duplicates into one entry
@@ -89,9 +103,21 @@ class SparseMatrix:
         """Square with equal values at (i, j) and (j, i).
 
         Compares values, not stored structure: an explicit zero matches an
-        absent entry.
+        absent entry.  When the transpose of a canonical matrix (sorted, no
+        duplicates) has the same structure, the value arrays decide;
+        otherwise scipy compares element by element.
         """
-        return self.nrows == self.ncols and (self.csr != self.csr.T).nnz == 0
+        if self.nrows != self.ncols:
+            return False
+        csr = self.csr
+        mirror = csr.T.tocsr()
+        if (
+            np.array_equal(mirror.indptr, csr.indptr)
+            and np.array_equal(mirror.indices, csr.indices)
+            and csr.has_canonical_format
+        ):
+            return np.array_equal(mirror.data, csr.data)
+        return (csr != mirror).nnz == 0
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -102,11 +128,11 @@ class DirectedEdgeIndex:
     """Ordinals k in [0, 2m) for the directed edges i->j.
 
     Undirected edge e gets ordinals 2e (i->j with i<j) and 2e+1 (j->i),
-    so the reversal i->j <-> j->i is the bit flip k ^ 1.  Both
-    orientations carry the weight of the underlying edge.
+    so the reversal i->j <-> j->i is the bit flip k ^ 1 and the tail of k
+    is the head of k ^ 1; only the heads are stored.  Both orientations
+    carry the weight of the underlying edge.
     """
 
-    tails: np.ndarray
     heads: np.ndarray
     weights: np.ndarray
 
@@ -114,19 +140,22 @@ class DirectedEdgeIndex:
     def from_instance(cls, instance: CbmInstance) -> "DirectedEdgeIndex":
         i, j, w = instance.edges[:, 0], instance.edges[:, 1], instance.edges[:, 2]
         m = instance.m
-        tails = np.empty(2 * m, dtype=np.int64)
-        heads = np.empty(2 * m, dtype=np.int64)
+        heads = np.empty(2 * m, dtype=index_dtype(instance.n, 2 * m))
         weights = np.empty(2 * m, dtype=np.float64)
-        tails[0::2], tails[1::2] = i, j
         heads[0::2], heads[1::2] = j, i
         weights[0::2] = weights[1::2] = w
-        for arr in (tails, heads, weights):
+        for arr in (heads, weights):
             arr.setflags(write=False)
-        return cls(tails=tails, heads=heads, weights=weights)
+        return cls(heads=heads, weights=weights)
+
+    @property
+    def tails(self) -> np.ndarray:
+        """tails[k] == heads[k ^ 1], built afresh on each access."""
+        return self.heads.reshape(-1, 2)[:, ::-1].ravel()
 
     @property
     def count(self) -> int:
-        return len(self.tails)
+        return len(self.heads)
 
 
 def build_b(instance: CbmInstance) -> SparseMatrix:
@@ -134,15 +163,16 @@ def build_b(instance: CbmInstance) -> SparseMatrix:
     if instance.m < 1:
         raise ValueError("need at least one edge to build the non-backtracking operator")
     index = DirectedEdgeIndex.from_instance(instance)
+    tails = index.tails
     # row k = i->j continues along each edge j->l: the deg(j) out-edges of j,
     # which sit contiguously once the directed edges are sorted by tail
-    by_tail = np.argsort(index.tails)
+    by_tail = np.argsort(tails)
     deg = instance.degrees()
     fan = deg[index.heads]
     shift = (np.cumsum(deg) - deg)[index.heads] - (np.cumsum(fan) - fan)
     rows = np.repeat(np.arange(index.count), fan)
     cols = by_tail[np.arange(len(rows)) + shift[rows]]
-    keep = index.heads[cols] != index.tails[rows]  # simple graph: backtracks iff it returns to i
+    keep = index.heads[cols] != tails[rows]  # simple graph: backtracks iff it returns to i
     rows, cols = rows[keep], cols[keep]
     return SparseMatrix.from_coo(index.count, index.count, rows, cols, index.weights[cols])
 
@@ -151,13 +181,16 @@ def build_bprime(instance: CbmInstance) -> SparseMatrix:
     """The 2n x 2n reduction [[0, D-I], [-I, J]] of the non-backtracking operator."""
     n = instance.n
     deg = instance.degrees()
-    i, j, w = instance.edges[:, 0], instance.edges[:, 1], instance.edges[:, 2]
     top = np.flatnonzero(deg != 1)  # degree-1 rows of D-I vanish; drop the explicit zeros
-    rows = np.concatenate([top, n + np.arange(n), n + i, n + j])
-    cols = np.concatenate([n + top, np.arange(n), n + j, n + i])
-    vals = np.concatenate(
-        [(deg[top] - 1).astype(np.float64), -np.ones(n), w.astype(np.float64), w.astype(np.float64)]
-    )
+    idx = index_dtype(2 * n, len(top) + n + 2 * instance.m)
+    top = top.astype(idx)
+    node = np.arange(n, dtype=idx)
+    ij = instance.edges[:, :2].astype(idx) + n
+    w = instance.edges[:, 2].astype(np.float64)
+    rows = np.concatenate([top, node + n, ij[:, 0], ij[:, 1]])
+    cols = np.concatenate([top + n, node, ij[:, 1], ij[:, 0]])
+    vals = np.concatenate([(deg[top] - 1).astype(np.float64), -np.ones(n), w, w])
+    del ij, w  # freed before the CSR conversion, which holds the triples and the result at once
     return SparseMatrix.from_coo(2 * n, 2 * n, rows, cols, vals)
 
 
@@ -165,11 +198,14 @@ def build_bethe_hessian(instance: CbmInstance, x: float) -> SparseMatrix:
     """H(x) = (x^2-1)*I - x*J + D, real symmetric."""
     n = instance.n
     deg = instance.degrees()
-    i, j, w = instance.edges[:, 0], instance.edges[:, 1], instance.edges[:, 2]
-    rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    offdiag = -x * w.astype(np.float64)
+    idx = index_dtype(n, n + 2 * instance.m)
+    node = np.arange(n, dtype=idx)
+    ij = instance.edges[:, :2].astype(idx)
+    rows = np.concatenate([node, ij[:, 0], ij[:, 1]])
+    cols = np.concatenate([node, ij[:, 1], ij[:, 0]])
+    offdiag = -x * instance.edges[:, 2].astype(np.float64)
     vals = np.concatenate([x * x - 1.0 + deg.astype(np.float64), offdiag, offdiag])
+    del ij, offdiag  # freed before the CSR conversion, as in build_bprime
     return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -139,6 +140,39 @@ class TestBeliefPropagation:
         state, _ = bp_fixed_point(inst, beta0(0.2), BpConfig(max_sweeps=25))
         assert state.sweeps == len(state.max_delta)
         assert all(d >= 0 for d in state.max_delta)
+
+
+class TestBpGolden:
+    """BP messages, marginals and sweep deltas are pinned bit for bit."""
+
+    # blake2b-128 of messages, marginals and max_delta on
+    # generate(CbmParams(n=2000, alpha=6, epsilon=0.25, seed=13)) at beta0(0.25)
+    CONVERGED = (155, "b8cccfb85116a2fe86914e827ceeed8e", "dbd0f750561c989e54ad08a194eb8936",
+                 "3fecd871dcbb7855b35451c97ce7ce0e")
+    CAPPED = (7, "e959b6b184ec45e611c1fa6858ed2502", "e2cdf1ba6a30037e3d4dead66188be98",
+              "cad7cf7833109dbfb1057dd3a27335fb")
+    JSON = ('{"method": "BP", "success": true, "lambda1": null, "lambda_min_H": null, '
+            '"overlap": 0.5449999999999999, "iterations": 155, "residual": 9.795623776009954e-07, '
+            '"seed": 13}')
+
+    @staticmethod
+    def _digest(a):
+        return hashlib.blake2b(np.ascontiguousarray(a).tobytes(), digest_size=16).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        return generate(CbmParams(n=2000, alpha=6, epsilon=0.25, seed=13))
+
+    @pytest.mark.parametrize("max_sweeps", [500, 7])
+    def test_fixed_point_digests(self, inst, max_sweeps):
+        state, marginals = bp_fixed_point(inst, beta0(0.25), BpConfig(max_sweeps=max_sweeps, seed=13))
+        got = (state.sweeps, self._digest(state.messages), self._digest(marginals),
+               self._digest(np.array(state.max_delta)))
+        assert got == (self.CONVERGED if max_sweeps == 500 else self.CAPPED)
+        assert state.converged == (max_sweeps == 500)
+
+    def test_bp_run_json_line(self, inst):
+        assert bp_run(inst, 0.25, BpConfig(seed=13)).to_json() == self.JSON
 
 
 class TestPopulationDynamics:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from cbdetect import (
     generate,
     power_leading,
 )
+from cbdetect.operators import index_dtype
 from cbdetect.rng import derive_seed, substream
 from conftest import dense_weight_matrix, make_instance
 
@@ -26,23 +28,24 @@ TRIANGLE_SPECTRUM = np.sort_complex(
               np.exp(-2j * np.pi / 3), np.exp(-2j * np.pi / 3)])
 )
 
-# (dtype, blake2b-128) of row_offsets, col_indices and values, per operator,
+# blake2b-128 of row_offsets and col_indices (as int64 bytes, so the integer
+# content is pinned whatever the index dtype) and of values, per operator,
 # on generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
 GOLDEN_DIGESTS = {
     "bprime": (400, 1465, [
-        ("<i8", "88a50ec4e998687d001190f6fdd1733b"),
-        ("<i8", "6fc14cfc34e261c5ddfe5e20ed236c29"),
-        ("<f8", "b85a54bca15e3c02663221778c7ab4f8"),
+        "88a50ec4e998687d001190f6fdd1733b",
+        "6fc14cfc34e261c5ddfe5e20ed236c29",
+        "b85a54bca15e3c02663221778c7ab4f8",
     ]),
     "bethe_hessian": (200, 1270, [
-        ("<i8", "c0c9dea3288c2de117658168fbb5eafd"),
-        ("<i8", "7df39ed9f81f9b0220ed37c2feedb36c"),
-        ("<f8", "3677445f4104c36803c044d4a8f89485"),
+        "c0c9dea3288c2de117658168fbb5eafd",
+        "7df39ed9f81f9b0220ed37c2feedb36c",
+        "3677445f4104c36803c044d4a8f89485",
     ]),
     "b": (1070, 5802, [
-        ("<i8", "53c5adbc118aec3aebceeafa3a4efd46"),
-        ("<i8", "ef9ba2acac0d68622b9e3923df507226"),
-        ("<f8", "1b48511808298045894c1c31f76c1822"),
+        "53c5adbc118aec3aebceeafa3a4efd46",
+        "ef9ba2acac0d68622b9e3923df507226",
+        "1b48511808298045894c1c31f76c1822",
     ]),
 }
 
@@ -94,6 +97,38 @@ class TestSparseMatrix:
         assert not SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]).is_symmetric()
         assert not SparseMatrix.from_coo(2, 3, [0], [0], [1.0]).is_symmetric()
 
+    @staticmethod
+    def _spy_elementwise(monkeypatch):
+        """Count the calls of scipy's elementwise != that is_symmetric falls back to."""
+        calls = []
+        original = scipy.sparse.csr_array.__ne__
+
+        def spy(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(scipy.sparse.csr_array, "__ne__", spy)
+        return calls
+
+    def test_is_symmetric_mirrored_structure_decided_by_values(self, monkeypatch):
+        calls = self._spy_elementwise(monkeypatch)
+        assert not SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 0, 2], [1.0, 2.0, 5.0]).is_symmetric()
+        assert SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 0, 2], [2.0, 2.0, 5.0]).is_symmetric()
+        inst = generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
+        assert build_bethe_hessian(inst, 2.0).is_symmetric()
+        assert calls == []
+
+    def test_is_symmetric_fallback_on_structure(self, monkeypatch):
+        calls = self._spy_elementwise(monkeypatch)
+        # explicit zero against an absent entry: structures differ, values agree
+        assert SparseMatrix(2, 2, [0, 2, 3], [0, 1, 1], [1.0, 0.0, 2.0]).is_symmetric()
+        # unsorted columns in row 0
+        assert SparseMatrix(2, 2, [0, 2, 3], [1, 0, 0], [4.0, 1.0, 4.0]).is_symmetric()
+        # duplicates: (0, 1) = 1 + 2 and (1, 0) = 2 + 1, stored in mirrored order
+        assert SparseMatrix(2, 2, [0, 2, 4], [1, 1, 0, 0], [1.0, 2.0, 2.0, 1.0]).is_symmetric()
+        assert not SparseMatrix(2, 2, [0, 2, 4], [1, 1, 0, 0], [1.0, 2.0, 2.0, 2.0]).is_symmetric()
+        assert len(calls) == 4
+
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ValueError):
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
@@ -118,7 +153,7 @@ class TestSparseMatrix:
 
 
 class TestGoldenOperators:
-    """The assembled CSR arrays are pinned bit for bit, dtypes included."""
+    """The assembled CSR arrays are pinned bit for bit: integer content, values and dtypes."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_csr_arrays_match_digests(self, name):
@@ -130,10 +165,35 @@ class TestGoldenOperators:
         }[name]
         m = build(inst)
         got = [
-            (a.dtype.str, hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest())
-            for a in (m.row_offsets, m.col_indices, m.values)
+            hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+            for a in (m.row_offsets.astype(np.int64), m.col_indices.astype(np.int64), m.values)
         ]
         assert (m.nrows, m.nnz, got) == GOLDEN_DIGESTS[name]
+        assert [a.dtype.str for a in (m.row_offsets, m.col_indices, m.values)] == ["<i4", "<i4", "<f8"]
+
+
+class TestIndexDtype:
+    def test_rule_on_sizes(self):
+        assert index_dtype(10, 2**31 - 1) == np.int32
+        assert index_dtype(2**31) == np.int64
+        assert index_dtype(5, 2**31, 7) == np.int64
+        assert index_dtype(2**40) == np.int64
+
+    def test_matrix_and_edge_index_follow_it(self):
+        inst = generate(CbmParams(n=300, alpha=6, epsilon=0.25, seed=2))
+        for m in (build_bprime(inst), build_bethe_hessian(inst, 2.0), build_b(inst)):
+            assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
+            # the scipy handle shares the int32 arrays, no int64 copy
+            assert np.shares_memory(m.csr.indices, m.col_indices)
+            assert np.shares_memory(m.csr.indptr, m.row_offsets)
+        assert DirectedEdgeIndex.from_instance(inst).heads.dtype == np.int32
+
+    def test_wide_indices_validated_before_narrowing(self):
+        # 2**32 would wrap to column 0 in int32
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseMatrix(1, 1, [0, 1], np.array([2**32], dtype=np.int64), [1.0])
+        with pytest.raises(ValueError, match="row_offsets"):
+            SparseMatrix(1, 1, np.array([-(2**32), 1], dtype=np.int64), [0], [1.0])
 
 
 class TestDirectedEdgeIndex:

@@ -1,0 +1,56 @@
+"""Peak traced memory of BP and of operator assembly, in units of one 2m float64 array.
+
+tracemalloc sees every numpy buffer, so these bounds catch a sweep or an
+assembly that goes back to fresh temporaries or int64 index copies.  The
+measured peaks at n = 2*10^4, alpha = 8 are about 5.9 units for
+``bp_fixed_point``, 4.9 for ``build_bprime`` and 4.3 for
+``build_bethe_hessian`` with ``is_symmetric``; the previous allocation
+pattern took 12.1, 7.0 and 7.4 units, and 5.0 for ``is_symmetric`` alone.
+"""
+
+import math
+import tracemalloc
+
+import pytest
+
+from cbdetect import (
+    BpConfig,
+    CbmParams,
+    beta0,
+    bp_fixed_point,
+    build_bethe_hessian,
+    build_bprime,
+    empirical_alpha,
+    generate,
+)
+
+
+@pytest.fixture(scope="module")
+def inst():
+    return generate(CbmParams(n=20_000, alpha=8, epsilon=0.25, seed=3))
+
+
+def peak_units(inst, fn) -> float:
+    """Peak traced bytes while fn runs, divided by 2m * 8."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (2 * inst.m * 8)
+
+
+def test_bp_sweeps_run_in_reused_buffers(inst):
+    assert peak_units(inst, lambda: bp_fixed_point(inst, beta0(0.25), BpConfig(max_sweeps=20))) < 7.0
+
+
+def test_bprime_assembly(inst):
+    assert peak_units(inst, lambda: build_bprime(inst)) < 6.0
+
+
+def test_bethe_hessian_assembly_and_symmetry_check(inst):
+    x = math.sqrt(empirical_alpha(inst))
+    assert peak_units(inst, lambda: build_bethe_hessian(inst, x).is_symmetric()) < 6.0
+    h = build_bethe_hessian(inst, x)
+    assert peak_units(inst, h.is_symmetric) < 3.0
