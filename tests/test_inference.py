@@ -23,7 +23,9 @@ from cbdetect import (
     population_dynamics,
     sign_pm1,
     smallest_symmetric,
+    write_instance,
 )
+from cbdetect import cli
 from cbdetect.inference import population_dynamics_core
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
@@ -173,6 +175,43 @@ class TestBpGolden:
 
     def test_bp_run_json_line(self, inst):
         assert bp_run(inst, 0.25, BpConfig(seed=13)).to_json() == self.JSON
+
+
+class TestSpectralGolden:
+    """The ``detect`` JSON line and exit status of NB and BH, pinned byte for byte.
+
+    n = 2000, epsilon = 0.25 across the transition.  At this size the lines
+    are the same with one and two OpenBLAS threads.  BH at alpha 3 and 4.5
+    runs to its iteration cap, so these lines change when the solver does.
+    """
+
+    CASES = {
+        (3, 31, "NB"): (0, '{"method": "NB", "success": true, "lambda1": 1.8315371240578364, '
+                           '"lambda_min_H": null, "overlap": 0.07899999999999996, "iterations": 568, '
+                           '"residual": 1.769583447014583e-08, "seed": 31}'),
+        (3, 31, "BH"): (0, '{"method": "BH", "success": true, "lambda1": null, '
+                           '"lambda_min_H": -0.006999108014280742, "overlap": 0.06800000000000006, '
+                           '"iterations": 7610, "residual": 0.00017323031303511356, "seed": 31}'),
+        (4.5, 32, "NB"): (2, '{"method": "NB", "success": false, "lambda1": null, "lambda_min_H": null, '
+                             '"overlap": null, "iterations": 77, "residual": null, "seed": 32}'),
+        (4.5, 32, "BH"): (2, '{"method": "BH", "success": false, "lambda1": null, '
+                             '"lambda_min_H": 0.011339226611214939, "overlap": null, "iterations": 7610, '
+                             '"residual": 4.570040869593297e-06, "seed": 32}'),
+        (8, 33, "NB"): (0, '{"method": "NB", "success": true, "lambda1": 3.825689453847331, '
+                           '"lambda_min_H": null, "overlap": 0.7130000000000001, "iterations": 73, '
+                           '"residual": 3.08900013060036e-08, "seed": 33}'),
+        (8, 33, "BH"): (0, '{"method": "BH", "success": true, "lambda1": null, '
+                           '"lambda_min_H": -0.6524449694329648, "overlap": 0.722, "iterations": 1950, '
+                           '"residual": 9.92824001944106e-09, "seed": 33}'),
+    }
+
+    @pytest.mark.parametrize("alpha,seed,method", list(CASES))
+    def test_detect_line_and_exit_status(self, capsys, tmp_path, alpha, seed, method):
+        path = tmp_path / "golden.cbm"
+        write_instance(generate(CbmParams(n=2000, alpha=alpha, epsilon=0.25, seed=seed)), path)
+        code = cli.main(["detect", "--in", str(path), "--methods", method])
+        want_code, want_line = self.CASES[alpha, seed, method]
+        assert (code, capsys.readouterr().out) == (want_code, want_line + "\n")
 
 
 class TestPopulationDynamics:
