@@ -27,6 +27,7 @@ def main():
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    sweep_csv = outdir / "overlap_sweep.csv"
 
     spec = SweepSpec(
         n=100_000 if args.full else 10_000,
@@ -35,11 +36,10 @@ def main():
         trials=args.trials,
         methods=("NB", "BH", "BP"),
         seed=args.seed,
-        out=str(outdir / "overlap_sweep.csv"),
     )
     rows = run_sweep(spec, jobs=args.jobs)
-    write_sweep_csv(rows, spec.out)
-    print(f"wrote {spec.out}", file=sys.stderr)
+    write_sweep_csv(rows, sweep_csv)
+    print(f"wrote {sweep_csv}", file=sys.stderr)
 
     lines = ["alpha,estimate"]
     for k, alpha in enumerate(ALPHAS):

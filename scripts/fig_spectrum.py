@@ -28,10 +28,10 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in (float(t) for t in args.alphas.split(",")):
         inst = generate(CbmParams(n=args.n, alpha=alpha, epsilon=args.epsilon, seed=args.seed))
-        spec = dense_spectrum(build_bprime(inst).to_dense())
+        eig = dense_spectrum(build_bprime(inst).to_dense())
         stem = outdir / f"spectrum_alpha{alpha:g}"
-        spectrum_to_csv(spec, stem.with_suffix(".csv"))
-        spectrum_to_svg(spec, stem.with_suffix(".svg"), radius=math.sqrt(empirical_alpha(inst)))
+        spectrum_to_csv(eig, stem.with_suffix(".csv"))
+        spectrum_to_svg(eig, stem.with_suffix(".svg"), radius=math.sqrt(empirical_alpha(inst)))
         print(f"wrote {stem}.csv and {stem}.svg", file=sys.stderr)
 
 

@@ -13,21 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .eigen import (
-    DENSE_CAP,
-    SolverConfig,
-    dense_spectrum,
-    spectrum_to_csv,
-    spectrum_to_svg,
-)
+from .eigen import DENSE_CAP, dense_spectrum, spectrum_to_csv, spectrum_to_svg
 from .inference import METHODS, PopDynConfig, detect, population_dynamics
 from .model import (
     CbmParams,
@@ -54,7 +47,6 @@ class SweepSpec:
     trials: int
     methods: tuple
     seed: int
-    out: str
 
     def __post_init__(self):
         if not self.alphas:
@@ -96,6 +88,8 @@ def _pool_entry(args):
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Execute the sweep; trial results are order-independent, rows sorted."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [
         (spec, ai, t) for ai in range(len(spec.alphas)) for t in range(spec.trials)
     ]
@@ -136,23 +130,8 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _add_model_flags(p, with_alpha=True):
-    p.add_argument("--n", type=int, required=True)
-    if with_alpha:
-        p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-
 def _parse_methods(raw: str) -> tuple:
     return tuple(tok for tok in raw.split(",") if tok)
-
-
-def _jobs_from_args(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("CBM_JOBS")
-    return int(env) if env else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,28 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    _add_model_flags(gen)
+    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--alpha", type=float, required=True)
+    gen.add_argument("--epsilon", type=float, required=True)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
     det = sub.add_parser("detect", help="run one detection method on an instance file")
     det.add_argument("--in", dest="infile", required=True)
     det.add_argument("--methods", required=True, help="exactly one of NB, BH, BP")
     det.add_argument("--epsilon", type=float, default=None, help="assumed noise (BP only)")
-    det.add_argument("--max-iter", type=int, default=None)
-    det.add_argument("--tol", type=float, default=1e-8)
 
     swp = sub.add_parser("sweep", help="overlap vs alpha experiment, CSV output")
     swp.add_argument("--n", type=int, default=10_000)
     swp.add_argument("--epsilon", type=float, required=True)
-    swp.add_argument("--alpha", default=None, help="explicit comma-separated alpha list")
-    swp.add_argument("--alpha-min", type=float, default=None)
-    swp.add_argument("--alpha-max", type=float, default=None)
-    swp.add_argument("--alpha-step", type=float, default=None)
+    swp.add_argument("--alpha", required=True, help="comma-separated alpha list")
     swp.add_argument("--trials", type=int, default=20)
     swp.add_argument("--methods", default="NB,BH")
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--out", required=True)
-    swp.add_argument("--jobs", type=int, default=None)
+    swp.add_argument("--jobs", type=int, default=1)
 
     spc = sub.add_parser("spectrum", help="dense spectrum of B' (or H) as CSV/SVG")
     spc.add_argument("--in", dest="infile", default=None)
@@ -196,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     pop = sub.add_parser("popdyn", help="asymptotic BP overlap by population dynamics")
     pop.add_argument("--alpha", type=float, required=True)
     pop.add_argument("--epsilon", type=float, required=True)
-    pop.add_argument("--pop-size", type=int, default=10_000)
+    pop.add_argument("--pop-size", type=int, default=PopDynConfig.pop_size)
     pop.add_argument("--sweeps", type=int, default=None,
-                     help="equilibration and measurement sweeps (default 300/200)")
+                     help="equilibration and measurement sweeps (default "
+                     f"{PopDynConfig.equilibration_sweeps}/{PopDynConfig.measurement_sweeps})")
     pop.add_argument("--trials", type=int, default=1, help="independent replicas")
     pop.add_argument("--seed", type=int, default=0)
 
@@ -218,35 +196,21 @@ def cmd_detect(args) -> int:
     if len(methods) != 1:
         raise ValueError("detect takes exactly one method")
     inst = read_instance(args.infile)
-    out = detect(
-        inst,
-        methods[0],
-        epsilon=args.epsilon,
-        solver=SolverConfig(tol=args.tol, max_iter=args.max_iter),
-    )
+    out = detect(inst, methods[0], epsilon=args.epsilon)
     print(out.to_json())
     return EXIT_OK if out.success else EXIT_DETECTION_FAILED
 
 
 def cmd_sweep(args) -> int:
-    if args.alpha is not None:
-        alphas = tuple(float(tok) for tok in str(args.alpha).split(",") if tok)
-    elif args.alpha_min is not None and args.alpha_max is not None:
-        step = args.alpha_step or 1.0
-        count = int(math.floor((args.alpha_max - args.alpha_min) / step + 1e-9)) + 1
-        alphas = tuple(args.alpha_min + k * step for k in range(count))
-    else:
-        raise ValueError("need --alpha or --alpha-min/--alpha-max")
     spec = SweepSpec(
         n=args.n,
         epsilon=args.epsilon,
-        alphas=alphas,
+        alphas=tuple(float(tok) for tok in args.alpha.split(",") if tok),
         trials=args.trials,
         methods=_parse_methods(args.methods),
         seed=args.seed,
-        out=args.out,
     )
-    rows = run_sweep(spec, jobs=_jobs_from_args(args))
+    rows = run_sweep(spec, jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -269,30 +233,26 @@ def cmd_spectrum(args) -> int:
         raise ValueError(
             f"matrix dimension {matrix.nrows} above dense cap {DENSE_CAP}; use a smaller n"
         )
-    spec = dense_spectrum(matrix.to_dense())
-    csv = spectrum_to_csv(spec, args.out)
+    eig = dense_spectrum(matrix.to_dense())
+    csv = spectrum_to_csv(eig, args.out)
     if args.out is None:
         sys.stdout.write(csv)
     if args.svg is not None:
-        spectrum_to_svg(spec, args.svg, radius=math.sqrt(empirical_alpha(inst)))
+        spectrum_to_svg(eig, args.svg, radius=math.sqrt(empirical_alpha(inst)))
     return EXIT_OK
 
 
 def cmd_popdyn(args) -> int:
-    kwargs = {}
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    sweeps = {}
     if args.sweeps is not None:
-        kwargs = {"equilibration_sweeps": args.sweeps, "measurement_sweeps": args.sweeps}
-    estimates = []
-    for replica in range(args.trials):
-        cfg = PopDynConfig(
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            pop_size=args.pop_size,
-            seed=derive_seed(args.seed, "popdyn-replica", replica),
-            **kwargs,
-        )
-        estimates.append(population_dynamics(cfg))
-    est = np.array(estimates)
+        sweeps = {"equilibration_sweeps": args.sweeps, "measurement_sweeps": args.sweeps}
+    cfg = PopDynConfig(alpha=args.alpha, epsilon=args.epsilon, pop_size=args.pop_size, **sweeps)
+    est = np.array([
+        population_dynamics(replace(cfg, seed=derive_seed(args.seed, "popdyn-replica", replica)))
+        for replica in range(args.trials)
+    ])
     stderr = float(np.std(est, ddof=1) / math.sqrt(len(est))) if len(est) > 1 else 0.0
     print(
         json.dumps(
@@ -303,8 +263,8 @@ def cmd_popdyn(args) -> int:
                 "alpha": args.alpha,
                 "epsilon": args.epsilon,
                 "pop_size": args.pop_size,
-                "equilibration_sweeps": kwargs.get("equilibration_sweeps", 300),
-                "measurement_sweeps": kwargs.get("measurement_sweeps", 200),
+                "equilibration_sweeps": cfg.equilibration_sweeps,
+                "measurement_sweeps": cfg.measurement_sweeps,
                 "seed": args.seed,
             }
         )

@@ -29,7 +29,6 @@ class SolverConfig:
 
     tol: float = 1e-8
     max_iter: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -65,23 +64,13 @@ class NoRealLeader:
     reason: str
 
 
-@dataclass
-class Spectrum:
-    """All eigenvalues of one matrix, as complex numbers."""
-
-    eigenvalues: np.ndarray
-
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.eigenvalues)
-
-
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     """Deterministic orientation: largest-magnitude entry made positive."""
     return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
 
 
-def _start_vector(dim: int, seed: int) -> np.ndarray:
-    v = substream(seed, "power-start").standard_normal(dim)
+def _start_vector(dim: int) -> np.ndarray:
+    v = substream(0, "power-start").standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
@@ -102,7 +91,7 @@ def power_leading(matrix: SparseMatrix, cfg: SolverConfig | None = None):
     if dim == 0:
         raise ValueError("dimension 0 has no leading eigenpair")
     max_iter = cfg.resolve_max_iter(dim)
-    v = _start_vector(dim, cfg.seed)
+    v = _start_vector(dim)
     growth = []
     best_delta = np.inf
     since_improve = 0
@@ -160,7 +149,7 @@ def smallest_symmetric(matrix: SparseMatrix, cfg: SolverConfig | None = None) ->
         raise ValueError("dimension 0 has no smallest eigenpair")
     c = gershgorin_upper(matrix)
     max_iter = cfg.resolve_max_iter(dim)
-    v = _start_vector(dim, cfg.seed)
+    v = _start_vector(dim)
     lam = 0.0
     residual = np.inf
     for k in range(1, max_iter + 1):
@@ -177,19 +166,19 @@ def smallest_symmetric(matrix: SparseMatrix, cfg: SolverConfig | None = None) ->
     return EigenResult(lam, _canonical_sign(v), residual, max_iter, False)
 
 
-def dense_spectrum(matrix: np.ndarray, cap: int = DENSE_CAP) -> Spectrum:
-    """All eigenvalues of a real dense square matrix (LAPACK QR oracle)."""
+def dense_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real dense square matrix as complex128 (LAPACK QR oracle)."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be dense square")
-    if matrix.shape[0] > cap:
-        raise ValueError(f"dimension {matrix.shape[0]} above dense cap {cap}")
-    return Spectrum(eigenvalues=np.linalg.eigvals(matrix).astype(np.complex128))
+    if matrix.shape[0] > DENSE_CAP:
+        raise ValueError(f"dimension {matrix.shape[0]} above dense cap {DENSE_CAP}")
+    return np.linalg.eigvals(matrix).astype(np.complex128)
 
 
-def spectrum_to_csv(spectrum: Spectrum, path=None) -> str:
+def spectrum_to_csv(eigenvalues: np.ndarray, path=None) -> str:
     """CSV text, header ``re,im``, sorted for stable output; also written to ``path`` if given."""
-    eig = spectrum.eigenvalues[np.lexsort((spectrum.eigenvalues.imag, spectrum.eigenvalues.real))]
+    eig = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
     lines = ["re,im"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in eig]
     text = "\n".join(lines) + "\n"
     if path is not None:
@@ -197,11 +186,11 @@ def spectrum_to_csv(spectrum: Spectrum, path=None) -> str:
     return text
 
 
-def spectrum_to_svg(spectrum: Spectrum, path, radius: float, size: int = 640) -> None:
-    """Scatter of the spectrum in the complex plane with a reference circle."""
-    eig = spectrum.eigenvalues
-    reach = max(float(np.max(np.abs(eig.real), initial=0.0)),
-                float(np.max(np.abs(eig.imag), initial=0.0)), radius) * 1.1 or 1.0
+def spectrum_to_svg(eigenvalues: np.ndarray, path, radius: float) -> None:
+    """640-pixel scatter of eigenvalues in the complex plane with a reference circle."""
+    size = 640
+    reach = max(float(np.max(np.abs(eigenvalues.real), initial=0.0)),
+                float(np.max(np.abs(eigenvalues.imag), initial=0.0)), radius) * 1.1 or 1.0
     half = size / 2.0
     scale = half / reach
 
@@ -220,7 +209,7 @@ def spectrum_to_svg(spectrum: Spectrum, path, radius: float, size: int = 640) ->
         f'<circle cx="{half}" cy="{half}" r="{radius * scale:.3f}" '
         'fill="none" stroke="#d62728" stroke-dasharray="6,4"/>',
     ]
-    for z in eig:
+    for z in eigenvalues:
         parts.append(
             f'<circle cx="{sx(z.real):.3f}" cy="{sy(z.imag):.3f}" r="2.2" '
             'fill="#1f77b4" fill-opacity="0.65"/>'

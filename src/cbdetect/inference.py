@@ -34,6 +34,8 @@ from .rng import substream
 METHODS = ("NB", "BH", "BP")
 
 _ATANH_CLIP = 1.0 - 1e-12  # keep tanh/atanh compositions finite at saturated messages
+BP_DAMPING = 0.5  # weight of the previous message in each BP update
+BP_TOL = 1e-6  # BP has converged once no message moves by this much in a sweep
 
 
 @dataclass
@@ -69,8 +71,6 @@ class DetectionOutcome:
 @dataclass
 class BpConfig:
     max_sweeps: int = 500
-    damping: float = 0.5
-    tol: float = 1e-6
     seed: int = 0
 
 
@@ -103,6 +103,12 @@ class PopDynConfig:
             raise ValueError("alpha must be positive")
 
 
+def _require_edges(instance: CbmInstance) -> None:
+    """The spectral operators and BP messages live on edges; a graph without one carries no signal."""
+    if instance.m < 1:
+        raise ValueError("need at least one edge")
+
+
 def _fill_overlap(outcome: DetectionOutcome, instance: CbmInstance) -> DetectionOutcome:
     if outcome.success and outcome.labels is not None:
         outcome.overlap = overlap(Labeling(instance.sigma), Labeling(outcome.labels))
@@ -111,8 +117,7 @@ def _fill_overlap(outcome: DetectionOutcome, instance: CbmInstance) -> Detection
 
 def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> DetectionOutcome:
     """Non-backtracking detection via the 2n x 2n reduction B'."""
-    if instance.m < 1:
-        raise ValueError("need at least one edge")
+    _require_edges(instance)
     res = power_leading(build_bprime(instance), cfg)
     seed = instance.params.seed
     if isinstance(res, NoRealLeader):
@@ -141,6 +146,7 @@ def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
 
 def algorithm2(instance: CbmInstance, cfg: SolverConfig | None = None) -> DetectionOutcome:
     """Bethe-Hessian detection: negative bottom eigenvalue of H(sqrt(2m/n))."""
+    _require_edges(instance)
     x = math.sqrt(empirical_alpha(instance))
     res = smallest_symmetric(build_bethe_hessian(instance, x), cfg)
     out = DetectionOutcome(
@@ -171,6 +177,7 @@ def bp_fixed_point(
     The all-zero message set is the exact uninformative fixed point;
     ``initial`` overrides the default small random start.
     """
+    _require_edges(instance)
     cfg = cfg or BpConfig()
     index = DirectedEdgeIndex.from_instance(instance)
     n = instance.n
@@ -200,16 +207,16 @@ def bp_fixed_point(
         np.take(site, heads, out=work, mode="clip")  # heads lie in [0, n): "clip" only skips take's buffer
         np.subtract(work, contrib, out=work)
         fresh = np.tanh(work.reshape(-1, 2)[:, ::-1], out=contrib.reshape(-1, 2)).reshape(-1)
-        fresh *= 1.0 - cfg.damping
-        np.multiply(msgs, cfg.damping, out=work)
+        fresh *= 1.0 - BP_DAMPING
+        np.multiply(msgs, BP_DAMPING, out=work)
         new = np.add(fresh, work, out=work)
         np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
-        delta = float(np.max(contrib)) if index.count else 0.0
+        delta = float(np.max(contrib))
         msgs, work = new, msgs
         state.messages = msgs
         state.sweeps = sweep
         state.max_delta.append(delta)
-        if delta < cfg.tol:
+        if delta < BP_TOL:
             state.converged = True
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))

@@ -3,9 +3,8 @@
 A problem instance is an Erdos-Renyi graph G(n, alpha/n) whose nodes
 carry hidden signs sigma_i in {-1,+1}; each present edge reveals the
 product sigma_i*sigma_j flipped with probability epsilon.  This module
-generates instances, computes the detection / exact-recovery thresholds
-and the flip-invariant overlap score, and defines the on-disk instance
-format.
+generates instances, computes the detection threshold and the
+flip-invariant overlap score, and defines the on-disk instance format.
 """
 
 from __future__ import annotations
@@ -240,17 +239,6 @@ def alpha_detect(epsilon: float) -> float:
             f"no finite detection threshold for epsilon = {epsilon} (need 0 <= epsilon < 0.5)"
         )
     return 1.0 / (1.0 - 2.0 * epsilon) ** 2
-
-
-def alpha_exact(epsilon: float, n) -> float:
-    """Average degree above which exact recovery becomes possible at size n."""
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError(
-            f"no finite exact-recovery threshold for epsilon = {epsilon} (need 0 <= epsilon < 0.5)"
-        )
-    if not n >= 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return 2.0 * math.log(n) / (1.0 - 2.0 * epsilon) ** 2
 
 
 def beta0(epsilon: float) -> float:

@@ -84,7 +84,6 @@ def sweep_threshold():
         trials=20,
         methods=("NB", "BH"),
         seed=0,
-        out="unused",
     )
     return {(r.alpha, r.method): r for r in run_sweep(spec)}
 
@@ -99,6 +98,5 @@ def sweep_methods():
         trials=20,
         methods=("NB", "BH", "BP"),
         seed=0,
-        out="unused",
     )
     return {(r.alpha, r.method): r for r in run_sweep(spec)}

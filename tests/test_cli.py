@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -131,12 +132,20 @@ class TestSweep:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CBM_JOBS", "2")
-        out = tmp_path / "env.csv"
-        assert main(self.ARGS + ["--out", str(out)]) == EXIT_OK
+    def test_jobs_environment_variable_ignored(self, capsys, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(self.ARGS + ["--out", str(a)]) == EXIT_OK
+        monkeypatch.setenv("CBM_JOBS", "bogus")
+        assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         capsys.readouterr()
-        assert out.exists()
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fault(self, capsys, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(capsys, *self.ARGS, "--out", str(out), "--jobs", jobs)
+        assert (code, stdout, err) == (EXIT_FAULT, "", "error: jobs must be >= 1\n")
+        assert not out.exists()
 
     def test_empty_methods_fault(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -163,11 +172,10 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
 
-    def test_alpha_range_flags(self, capsys, tmp_path):
+    def test_alpha_list_flag(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         code, _, _ = run_cli(
-            capsys, "sweep", "--n", "200", "--epsilon", "0.25",
-            "--alpha-min", "2", "--alpha-max", "4", "--alpha-step", "1",
+            capsys, "sweep", "--n", "200", "--epsilon", "0.25", "--alpha", "2,3,4",
             "--trials", "1", "--methods", "NB", "--seed", "1", "--out", str(out),
         )
         assert code == EXIT_OK
@@ -268,6 +276,12 @@ class TestPopdyn:
         code, _, _ = run_cli(capsys, "popdyn", "--alpha", "8", "--epsilon", "0.5")
         assert code == EXIT_FAULT
 
+    def test_zero_trials_fault(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "popdyn", "--alpha", "8", "--epsilon", "0.25", "--trials", "0"
+        )
+        assert (code, stdout, err) == (EXIT_FAULT, "", "error: trials must be >= 1\n")
+
 
 class TestExitCodeMatrix:
     def test_contract(self, capsys, tmp_path, above_file, below_file):
@@ -293,11 +307,39 @@ class TestExitCodeMatrix:
         assert main(["frobnicate"]) == EXIT_FAULT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method,extra", [("NB", []), ("BH", []), ("BP", ["--epsilon", "0.25"])])
+    def test_edgeless_instance_faults(self, capsys, tmp_path, method, extra):
+        path = tmp_path / "edgeless.cbm"
+        path.write_text("%cbm 1\n5 0 0.25 1\nsigma\n1 -1 1 1 -1\n")
+        code, stdout, err = run_cli(capsys, "detect", "--in", str(path), "--methods", method, *extra)
+        assert (code, stdout, err) == (EXIT_FAULT, "", "error: need at least one edge\n")
+
+
+def test_option_surface():
+    """Every option each subcommand accepts; a new or returning knob shows up here."""
+    top = cli.build_parser()
+    (subparsers,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in subparsers.choices.items()
+    }
+    common = {"-h", "--help"}
+    assert got == {
+        "gen": common | {"--n", "--alpha", "--epsilon", "--seed", "--out"},
+        "detect": common | {"--in", "--methods", "--epsilon"},
+        "sweep": common | {"--n", "--epsilon", "--alpha", "--trials", "--methods", "--seed",
+                           "--out", "--jobs"},
+        "spectrum": common | {"--in", "--n", "--alpha", "--epsilon", "--seed", "--operator",
+                              "--out", "--svg"},
+        "popdyn": common | {"--alpha", "--epsilon", "--pop-size", "--sweeps", "--trials", "--seed"},
+    }
+    assert {opt for a in top._actions for opt in a.option_strings} == common
+
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(n=10, epsilon=0.2, alphas=(), trials=1, methods=("NB",), seed=0, out="x")
+        SweepSpec(n=10, epsilon=0.2, alphas=(), trials=1, methods=("NB",), seed=0)
     with pytest.raises(ValueError):
-        SweepSpec(n=10, epsilon=0.2, alphas=(3.0,), trials=0, methods=("NB",), seed=0, out="x")
+        SweepSpec(n=10, epsilon=0.2, alphas=(3.0,), trials=0, methods=("NB",), seed=0)
     with pytest.raises(ValueError):
-        SweepSpec(n=10, epsilon=0.2, alphas=(3.0,), trials=1, methods=("XX",), seed=0, out="x")
+        SweepSpec(n=10, epsilon=0.2, alphas=(3.0,), trials=1, methods=("XX",), seed=0)

@@ -18,13 +18,14 @@ from cbdetect import (
     spectrum_to_csv,
     spectrum_to_svg,
 )
+from cbdetect import eigen
 from cbdetect.eigen import gershgorin_upper
 from cbdetect.rng import derive_seed
 
 
 def second_eigenvalue_bound(instance) -> float:
     """|lambda_2| of B' by modulus, from the dense oracle."""
-    mods = np.sort(dense_spectrum(build_bprime(instance).to_dense()).moduli())[::-1]
+    mods = np.sort(np.abs(dense_spectrum(build_bprime(instance).to_dense())))[::-1]
     return float(mods[1]) if len(mods) > 1 else 0.0
 
 
@@ -137,9 +138,9 @@ class TestSmallestSymmetric:
 class TestDenseSpectrum:
     def test_permutation_cycle_gives_roots_of_unity(self):
         perm = np.roll(np.eye(5), 1, axis=1)
-        spec = dense_spectrum(perm)
+        eig = dense_spectrum(perm)
         want = np.exp(2j * np.pi * np.arange(5) / 5)
-        got = sorted(spec.eigenvalues, key=lambda z: math.atan2(z.imag, z.real))
+        got = sorted(eig, key=lambda z: math.atan2(z.imag, z.real))
         want = sorted(want, key=lambda z: math.atan2(z.imag, z.real))
         assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
 
@@ -147,9 +148,8 @@ class TestDenseSpectrum:
         # B splits into two edge 3-cycles (normal matrix): full 1e-8 accuracy
         from cbdetect import build_b
 
-        spec = dense_spectrum(build_b(triangle).to_dense())
+        got = list(dense_spectrum(build_b(triangle).to_dense()))
         want = [1.0, 1.0] + [np.exp(s * 2j * np.pi / 3) for s in (1, 1, -1, -1)]
-        got = list(spec.eigenvalues)
         for w in want:
             errs = [abs(g - w) for g in got]
             k = int(np.argmin(errs))
@@ -159,9 +159,8 @@ class TestDenseSpectrum:
     def test_triangle_bprime_multiset(self, triangle):
         # eigenvalue 1 of B' sits in a size-2 Jordan block, so a backward
         # stable solver can only place it within ~sqrt(eps*||B'||) ~ 1.5e-8
-        spec = dense_spectrum(build_bprime(triangle).to_dense())
+        got = list(dense_spectrum(build_bprime(triangle).to_dense()))
         want = [1.0, 1.0] + [np.exp(s * 2j * np.pi / 3) for s in (1, 1, -1, -1)]
-        got = list(spec.eigenvalues)
         for w in want:
             errs = [abs(g - w) for g in got]
             k = int(np.argmin(errs))
@@ -170,14 +169,15 @@ class TestDenseSpectrum:
 
     def test_conjugate_closure(self):
         rng = np.random.default_rng(5)
-        spec = dense_spectrum(rng.standard_normal((40, 40)))
-        eig = spec.eigenvalues
+        eig = dense_spectrum(rng.standard_normal((40, 40)))
         for z in eig[eig.imag > 1e-10]:
             assert np.min(np.abs(eig - z.conjugate())) < 1e-8
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            dense_spectrum(np.eye(11), cap=10)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(eigen, "DENSE_CAP", 10)  # read at call time
+        dense_spectrum(np.eye(10))
+        with pytest.raises(ValueError, match="above dense cap 10"):
+            dense_spectrum(np.eye(11))
         with pytest.raises(ValueError):
             dense_spectrum(np.ones((2, 3)))
 
@@ -209,24 +209,24 @@ class TestOracleEquivalence:
 
 class TestSpectrumExport:
     def test_csv_roundtrip(self, tmp_path, triangle):
-        spec = dense_spectrum(build_bprime(triangle).to_dense())
+        eig = dense_spectrum(build_bprime(triangle).to_dense())
         path = tmp_path / "spec.csv"
-        spectrum_to_csv(spec, path)
+        spectrum_to_csv(eig, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 7
         vals = np.array([complex(float(a), float(b)) for a, b in
                          (ln.split(",") for ln in lines[1:])])
-        assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(spec.eigenvalues))) < 1e-12
+        assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(eig))) < 1e-12
 
     def test_svg_contains_circle_and_points(self, tmp_path, triangle):
-        spec = dense_spectrum(build_bprime(triangle).to_dense())
+        eig = dense_spectrum(build_bprime(triangle).to_dense())
         path = tmp_path / "spec.svg"
-        spectrum_to_svg(spec, path, radius=math.sqrt(2.0))
+        spectrum_to_svg(eig, path, radius=math.sqrt(2.0))
         text = path.read_text()
         assert text.startswith("<svg")
         assert 'stroke-dasharray' in text  # the sqrt(alpha) reference circle
-        assert text.count("<circle") == 1 + len(spec.eigenvalues)
+        assert text.count("<circle") == 1 + len(eig)
 
 
 class TestSolverConfig:

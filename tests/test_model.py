@@ -15,7 +15,6 @@ from cbdetect import (
     InstanceFormatError,
     Labeling,
     alpha_detect,
-    alpha_exact,
     beta0,
     empirical_alpha,
     generate,
@@ -196,15 +195,6 @@ class TestThresholds:
     def test_alpha_detect_rejects_half(self):
         with pytest.raises(ValueError):
             alpha_detect(0.5)
-
-    def test_alpha_exact_values(self):
-        assert alpha_exact(0.0, math.e**2) == pytest.approx(4.0)
-        assert alpha_exact(0.25, 1e5) == pytest.approx(8 * math.log(1e5))
-        assert alpha_exact(0.25, 1e5) == pytest.approx(92.10340371976183)
-        with pytest.raises(ValueError):
-            alpha_exact(0.5, 100)
-        with pytest.raises(ValueError):
-            alpha_exact(0.1, 1)
 
     def test_beta0_values(self):
         assert beta0(0.5) == 0.0
