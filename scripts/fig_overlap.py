@@ -1,18 +1,20 @@
 """Overlap-vs-alpha comparison of NB, BH, BP and the asymptotic BP curve.
 
 Desk-scale defaults (n=10^4, 20 trials); pass --full for the n=10^5
-protocol.  Writes results/overlap_sweep.csv and results/popdyn.csv.
+protocol.  The alpha grid is fixed relative to the detection threshold
+alpha_c = 1/(1-2*epsilon)^2, so it straddles alpha_c at every epsilon.
+Writes results/overlap_sweep.csv and results/popdyn.csv.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from cbdetect import PopDynConfig, population_dynamics
+from cbdetect import PopDynConfig, alpha_detect, population_dynamics
 from cbdetect.cli import SweepSpec, run_sweep, write_sweep_csv
 from cbdetect.rng import derive_seed
 
-ALPHAS = (3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0)
+RATIOS = (0.75, 0.875, 1.0, 1.125, 1.25, 1.375, 1.5, 1.75, 2.0)  # alpha / alpha_c
 
 
 def main():
@@ -28,11 +30,12 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep_csv = outdir / "overlap_sweep.csv"
+    alphas = tuple(alpha_detect(args.epsilon) * r for r in RATIOS)
 
     spec = SweepSpec(
         n=100_000 if args.full else 10_000,
         epsilon=args.epsilon,
-        alphas=ALPHAS,
+        alphas=alphas,
         trials=args.trials,
         methods=("NB", "BH", "BP"),
         seed=args.seed,
@@ -42,7 +45,7 @@ def main():
     print(f"wrote {sweep_csv}", file=sys.stderr)
 
     lines = ["alpha,estimate"]
-    for k, alpha in enumerate(ALPHAS):
+    for k, alpha in enumerate(alphas):
         est = population_dynamics(
             PopDynConfig(alpha=alpha, epsilon=args.epsilon,
                          seed=derive_seed(args.seed, "popdyn-fig", k))

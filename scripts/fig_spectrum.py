@@ -1,18 +1,16 @@
 """Complex spectra of B' below and above the detection threshold.
 
 Two n=2000 instances at epsilon=0.25 (alpha=3 and alpha=8); each gives a
-CSV of eigenvalues and an SVG scatter with the sqrt(alpha) circle.  The
-above-threshold panel shows the single real outlier near alpha*(1-2*eps).
+CSV of eigenvalues and an SVG scatter with the sqrt(alpha) circle, written
+by ``cbdetect spectrum``.  The above-threshold panel shows the single real
+outlier near alpha*(1-2*eps).
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from cbdetect import CbmParams, dense_spectrum, empirical_alpha, generate
-from cbdetect.eigen import spectrum_to_csv, spectrum_to_svg
-from cbdetect.operators import build_bprime
+from cbdetect import cli
 
 
 def main():
@@ -27,13 +25,17 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in (float(t) for t in args.alphas.split(",")):
-        inst = generate(CbmParams(n=args.n, alpha=alpha, epsilon=args.epsilon, seed=args.seed))
-        eig = dense_spectrum(build_bprime(inst).to_dense())
         stem = outdir / f"spectrum_alpha{alpha:g}"
-        spectrum_to_csv(eig, stem.with_suffix(".csv"))
-        spectrum_to_svg(eig, stem.with_suffix(".svg"), radius=math.sqrt(empirical_alpha(inst)))
+        code = cli.main([
+            "spectrum", "--n", str(args.n), "--alpha", repr(alpha), "--epsilon", repr(args.epsilon),
+            "--seed", str(args.seed), "--out", str(stem.with_suffix(".csv")),
+            "--svg", str(stem.with_suffix(".svg")),
+        ])
+        if code != cli.EXIT_OK:
+            return code
         print(f"wrote {stem}.csv and {stem}.svg", file=sys.stderr)
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -229,11 +229,11 @@ def cmd_spectrum(args) -> int:
         matrix = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
     else:
         matrix = build_bprime(inst)
-    if matrix.nrows > DENSE_CAP:
+    if matrix.shape[0] > DENSE_CAP:
         raise ValueError(
-            f"matrix dimension {matrix.nrows} above dense cap {DENSE_CAP}; use a smaller n"
+            f"matrix dimension {matrix.shape[0]} above dense cap {DENSE_CAP}; use a smaller n"
         )
-    eig = dense_spectrum(matrix.to_dense())
+    eig = dense_spectrum(matrix.toarray())
     csv = spectrum_to_csv(eig, args.out)
     if args.out is None:
         sys.stdout.write(csv)

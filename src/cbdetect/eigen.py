@@ -85,9 +85,9 @@ def power_leading(matrix: SparseMatrix, cfg: SolverConfig | None = None):
     reported as the typed ``NoRealLeader`` outcome rather than an error.
     """
     cfg = cfg or SolverConfig()
-    if matrix.nrows != matrix.ncols:
+    dim, ncols = matrix.shape
+    if dim != ncols:
         raise ValueError("matrix must be square")
-    dim = matrix.nrows
     if dim == 0:
         raise ValueError("dimension 0 has no leading eigenpair")
     max_iter = cfg.resolve_max_iter(dim)
@@ -123,12 +123,13 @@ def power_leading(matrix: SparseMatrix, cfg: SolverConfig | None = None):
 
 def gershgorin_upper(matrix: SparseMatrix) -> float:
     """Row-circle upper bound on the largest eigenvalue of a symmetric matrix."""
-    rows = np.repeat(np.arange(matrix.nrows, dtype=np.int64), np.diff(matrix.row_offsets))
-    diag = np.zeros(matrix.nrows)
-    on_diag = rows == matrix.col_indices
-    diag[rows[on_diag]] = matrix.values[on_diag]
-    radius = np.bincount(rows[~on_diag], weights=np.abs(matrix.values[~on_diag]), minlength=matrix.nrows)
-    return float(np.max(diag + radius)) if matrix.nrows else 0.0
+    dim = matrix.shape[0]
+    rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(matrix.indptr))
+    diag = np.zeros(dim)
+    on_diag = rows == matrix.indices
+    diag[rows[on_diag]] = matrix.data[on_diag]
+    radius = np.bincount(rows[~on_diag], weights=np.abs(matrix.data[~on_diag]), minlength=dim)
+    return float(np.max(diag + radius)) if dim else 0.0
 
 
 def smallest_symmetric(matrix: SparseMatrix, cfg: SolverConfig | None = None) -> EigenResult:
@@ -144,7 +145,7 @@ def smallest_symmetric(matrix: SparseMatrix, cfg: SolverConfig | None = None) ->
     cfg = cfg or SolverConfig()
     if not matrix.is_symmetric():
         raise ValueError("matrix must be symmetric")
-    dim = matrix.nrows
+    dim = matrix.shape[0]
     if dim == 0:
         raise ValueError("dimension 0 has no smallest eigenpair")
     c = gershgorin_upper(matrix)

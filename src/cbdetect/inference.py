@@ -264,50 +264,31 @@ def _popdyn_draw(rng, pop, alpha, t_beta, flip_prob):
     return np.tanh(np.bincount(rows, weights=terms, minlength=count))
 
 
-def population_dynamics_core(
-    alpha: float,
-    beta: float,
-    epsilon: float,
-    pop_size: int,
-    equilibration_sweeps: int,
-    measurement_sweeps: int,
-    rng: np.random.Generator,
-) -> float:
-    """Asymptotic BP overlap on the Poisson tree, planted state gauged to +1.
+def population_dynamics(cfg: PopDynConfig) -> float:
+    """Asymptotic BP overlap at (alpha, epsilon) on the Poisson tree, planted state gauged to +1.
 
     Each sweep rebuilds the whole population synchronously from
-    Poisson(alpha) random parents with couplings +1 w.p. 1-epsilon; the
-    estimate phase draws full-degree marginals (again Poisson(alpha))
-    and scores p = P(m > 0) + P(m = 0)/2, returning 2*(max(p,1-p)-1/2).
+    Poisson(alpha) random parents with couplings +1 w.p. 1-epsilon at
+    beta0(epsilon); the estimate phase draws full-degree marginals (again
+    Poisson(alpha)) and scores p = P(m > 0) + P(m = 0)/2, returning
+    2*(max(p,1-p)-1/2).
     """
-    t_beta = math.tanh(beta)
-    pop = rng.uniform(-0.1, 0.1, size=pop_size)
-    for _ in range(equilibration_sweeps):
-        pop = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
-    hits = 0.0
-    draws = 0
-    for _ in range(measurement_sweeps):
-        marg = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
-        hits += float(np.sum(marg > 0.0)) + 0.5 * float(np.sum(marg == 0.0))
-        draws += pop_size
-        pop = _popdyn_draw(rng, pop, alpha, t_beta, epsilon)
-    p = hits / draws
-    return 2.0 * (max(p, 1.0 - p) - 0.5)
-
-
-def population_dynamics(cfg: PopDynConfig) -> float:
-    """Asymptotic BP overlap estimate at (alpha, epsilon)."""
     if not 0.0 < cfg.epsilon < 0.5:
         raise ValueError(f"population dynamics needs 0 < epsilon < 0.5, got {cfg.epsilon}")
-    return population_dynamics_core(
-        cfg.alpha,
-        beta0(cfg.epsilon),
-        cfg.epsilon,
-        cfg.pop_size,
-        cfg.equilibration_sweeps,
-        cfg.measurement_sweeps,
-        substream(cfg.seed, "popdyn"),
-    )
+    rng = substream(cfg.seed, "popdyn")
+    t_beta = math.tanh(beta0(cfg.epsilon))
+    pop = rng.uniform(-0.1, 0.1, size=cfg.pop_size)
+    for _ in range(cfg.equilibration_sweeps):
+        pop = _popdyn_draw(rng, pop, cfg.alpha, t_beta, cfg.epsilon)
+    hits = 0.0
+    draws = 0
+    for _ in range(cfg.measurement_sweeps):
+        marg = _popdyn_draw(rng, pop, cfg.alpha, t_beta, cfg.epsilon)
+        hits += float(np.sum(marg > 0.0)) + 0.5 * float(np.sum(marg == 0.0))
+        draws += cfg.pop_size
+        pop = _popdyn_draw(rng, pop, cfg.alpha, t_beta, cfg.epsilon)
+    p = hits / draws
+    return 2.0 * (max(p, 1.0 - p) - 0.5)
 
 
 def detect(

@@ -1,20 +1,18 @@
 """Sparse operators built from an instance, stored as scipy CSR.
 
-Three matrices drive the detection algorithms:
+Two matrices drive the detection algorithms:
 
-* B, the weighted non-backtracking operator on the 2m directed edges:
-  B[(i->j),(k->l)] = J_kl * 1(j=k) * 1(i!=l);
-* B', the 2n x 2n reduction [[0, D-I], [-I, J]] that carries every
-  eigenvalue of B other than +-1;
+* B', the 2n x 2n reduction [[0, D-I], [-I, J]] of the weighted
+  non-backtracking operator B on the 2m directed edges, which it shares
+  every eigenvalue with other than +-1;
 * H(x) = (x^2-1)*I - x*J + D, the real symmetric operator whose
   negative directions at x = sqrt(avg degree) signal detectable
   structure.
 
 Each is assembled from coordinate triples into one canonical
-``scipy.sparse.csr_array`` (rows in order, columns sorted within a row).
-B is only materialized on demand (tests, small n), with a vectorised
-expansion of each directed edge over its continuations; all large-n
-code paths go through B'.
+``SparseMatrix``, a ``scipy.sparse.csr_array`` (rows in order, columns
+sorted within a row).  ``DirectedEdgeIndex`` numbers the directed edges
+for BP.
 
 Index arrays (CSR offsets and columns, assembly coordinates, directed-edge
 heads) are int32 while the dimension, the nnz and 2m are below 2**31, and
@@ -23,14 +21,12 @@ int64 beyond; ``index_dtype`` is that one rule (docs/decisions.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .model import CbmInstance
-
-EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
 
 
 def index_dtype(*sizes: int) -> type:
@@ -38,48 +34,20 @@ def index_dtype(*sizes: int) -> type:
     return np.int32 if max(sizes, default=0) < 2**31 else np.int64
 
 
-@dataclass
-class SparseMatrix:
-    """Immutable compressed-row matrix; ``csr`` shares the three arrays without a copy.
+class SparseMatrix(scipy.sparse.csr_array):
+    """A ``scipy.sparse.csr_array`` checked in full on construction.
 
-    The index arrays take the ``index_dtype`` of the shape and the nnz.
+    Construction adds scipy's full format check (offset length and order,
+    column range) and a finite-values check.  Builders go through
+    ``from_coo``, whose index arrays take the ``index_dtype`` of the shape
+    and the nnz and whose three arrays are read-only.
     """
 
-    nrows: int
-    ncols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    csr: scipy.sparse.csr_array = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        offsets, cols = np.asarray(self.row_offsets), np.asarray(self.col_indices)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        # validated before the cast to the index dtype, which could wrap bad values
-        if offsets.shape != (self.nrows + 1,):
-            raise ValueError("row_offsets must have length nrows+1")
-        if offsets[0] != 0 or np.any(np.diff(offsets) < 0) or offsets[-1] != len(self.values):
-            raise ValueError("row_offsets must start at 0, be monotone and end at nnz")
-        if len(cols) != len(self.values):
-            raise ValueError("col_indices and values must have equal length")
-        if self.values.size and not np.all(np.isfinite(self.values)):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check_format(full_check=True)
+        if not np.all(np.isfinite(self.data)):
             raise ValueError("values must be finite")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.ncols):
-            raise ValueError("column index out of range")
-        idx = index_dtype(self.nrows, self.ncols, len(self.values))
-        self.row_offsets = offsets.astype(idx, copy=False)
-        self.col_indices = cols.astype(idx, copy=False)
-        for arr in (self.row_offsets, self.col_indices, self.values):
-            arr.setflags(write=False)
-        self.csr = scipy.sparse.csr_array(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.nrows, self.ncols),
-            copy=False,
-        )
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals) -> "SparseMatrix":
@@ -88,16 +56,29 @@ class SparseMatrix:
         csr = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
         if csr.nnz != len(vals):  # tocsr sums duplicates into one entry
             raise ValueError("duplicate entry in sparse assembly")
-        return cls(nrows, ncols, csr.indptr, csr.indices, csr.data)
+        # narrowed only after coo_array has range-checked the coordinates, so nothing wraps
+        idx = index_dtype(nrows, ncols, csr.nnz)
+        indices, indptr = csr.indices.astype(idx, copy=False), csr.indptr.astype(idx, copy=False)
+        matrix = cls((csr.data, indices, indptr), shape=(nrows, ncols))
+        for arr in (matrix.indptr, matrix.indices, matrix.data):
+            arr.setflags(write=False)
+        return matrix
 
-    # matvec and is_symmetric stay defined in this class body: perfbench/tracing.py
-    # patches them through SparseMatrix.__dict__ and its matvec counter reads the
-    # five fields.  They go when the package traces itself (ROADMAP item 5).
+    # Kept for perfbench/tracing.py, their only reader: it patches matvec and
+    # is_symmetric through SparseMatrix.__dict__, so both stay in this class body,
+    # and its matvec counter reads these five read-only aliases of scipy's
+    # attributes.  They go when the package traces itself (ROADMAP item 5).
+    nrows = property(lambda self: self.shape[0])
+    ncols = property(lambda self: self.shape[1])
+    row_offsets = property(lambda self: self.indptr)
+    col_indices = property(lambda self: self.indices)
+    values = property(lambda self: self.data)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
-        if v.shape != (self.ncols,):
-            raise ValueError(f"expected vector of length {self.ncols}, got shape {v.shape}")
-        return self.csr @ v
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"expected vector of length {self.shape[1]}, got shape {v.shape}")
+        return self @ v
 
     def is_symmetric(self) -> bool:
         """Square with equal values at (i, j) and (j, i).
@@ -107,20 +88,16 @@ class SparseMatrix:
         duplicates) has the same structure, the value arrays decide;
         otherwise scipy compares element by element.
         """
-        if self.nrows != self.ncols:
+        if self.shape[0] != self.shape[1]:
             return False
-        csr = self.csr
-        mirror = csr.T.tocsr()
+        mirror = self.T.tocsr()
         if (
-            np.array_equal(mirror.indptr, csr.indptr)
-            and np.array_equal(mirror.indices, csr.indices)
-            and csr.has_canonical_format
+            np.array_equal(mirror.indptr, self.indptr)
+            and np.array_equal(mirror.indices, self.indices)
+            and self.has_canonical_format
         ):
-            return np.array_equal(mirror.data, csr.data)
-        return (csr != mirror).nnz == 0
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+            return np.array_equal(mirror.data, self.data)
+        return (self != mirror).nnz == 0
 
 
 @dataclass(frozen=True)
@@ -149,32 +126,8 @@ class DirectedEdgeIndex:
         return cls(heads=heads, weights=weights)
 
     @property
-    def tails(self) -> np.ndarray:
-        """tails[k] == heads[k ^ 1], built afresh on each access."""
-        return self.heads.reshape(-1, 2)[:, ::-1].ravel()
-
-    @property
     def count(self) -> int:
         return len(self.heads)
-
-
-def build_b(instance: CbmInstance) -> SparseMatrix:
-    """Materialize the 2m x 2m non-backtracking operator (small n only)."""
-    if instance.m < 1:
-        raise ValueError("need at least one edge to build the non-backtracking operator")
-    index = DirectedEdgeIndex.from_instance(instance)
-    tails = index.tails
-    # row k = i->j continues along each edge j->l: the deg(j) out-edges of j,
-    # which sit contiguously once the directed edges are sorted by tail
-    by_tail = np.argsort(tails)
-    deg = instance.degrees()
-    fan = deg[index.heads]
-    shift = (np.cumsum(deg) - deg)[index.heads] - (np.cumsum(fan) - fan)
-    rows = np.repeat(np.arange(index.count), fan)
-    cols = by_tail[np.arange(len(rows)) + shift[rows]]
-    keep = index.heads[cols] != tails[rows]  # simple graph: backtracks iff it returns to i
-    rows, cols = rows[keep], cols[keep]
-    return SparseMatrix.from_coo(index.count, index.count, rows, cols, index.weights[cols])
 
 
 def build_bprime(instance: CbmInstance) -> SparseMatrix:
@@ -207,44 +160,3 @@ def build_bethe_hessian(instance: CbmInstance, x: float) -> SparseMatrix:
     vals = np.concatenate([x * x - 1.0 + deg.astype(np.float64), offdiag, offdiag])
     del ij, offdiag  # freed before the CSR conversion, as in build_bprime
     return SparseMatrix.from_coo(n, n, rows, cols, vals)
-
-
-@dataclass(frozen=True)
-class RelationDiagnostics:
-    """Residuals of the eigenvector identities tying B' back to B."""
-
-    relation_residual: float  # max_i |lam*v'_i - (d_i-1)*v'_{n+i}| / ||v'||_inf
-    b_residual: float  # ||B v - lam v||_inf / ||v||_inf for the reconstructed edge vector
-
-
-def bprime_eigvec_relations_check(
-    instance: CbmInstance, lam: float, vprime: np.ndarray
-) -> RelationDiagnostics:
-    """Check a computed B' eigenpair against the defining edge-space relations.
-
-    The site values v'_{n+i} determine the edge vector through
-    lam * v_{i->j} = v'_{n+i} - J_ij * v_{j->i}; solving the 2x2 system
-    per undirected edge reconstructs v, whose eigen-residual under the
-    explicit B is reported.  Degenerates at lam = +-1.
-    """
-    lam = float(lam)
-    if min(abs(lam - 1.0), abs(lam + 1.0)) <= EIG_ONE_TOL:
-        raise ValueError(f"reduction invalid at eigenvalues +-1 (lambda = {lam})")
-    n = instance.n
-    vprime = np.asarray(vprime, dtype=np.float64)
-    if vprime.shape != (2 * n,):
-        raise ValueError(f"expected eigenvector of length {2 * n}, got {vprime.shape}")
-    v_top, v_bot = vprime[:n], vprime[n:]
-    deg = instance.degrees()
-    scale = np.max(np.abs(vprime))
-    relation = np.max(np.abs(lam * v_top - (deg - 1) * v_bot)) / scale
-
-    index = DirectedEdgeIndex.from_instance(instance)
-    edge_vec = (lam * v_bot[index.tails] - index.weights * v_bot[index.heads]) / (lam * lam - 1.0)
-    # the site relations live in the gather-at-tail convention, which is the
-    # edge reversal of the scatter-from-head operator built by build_b
-    edge_vec = edge_vec[np.arange(index.count) ^ 1]
-    b = build_b(instance)
-    resid = b.matvec(edge_vec) - lam * edge_vec
-    b_resid = np.max(np.abs(resid)) / np.max(np.abs(edge_vec))
-    return RelationDiagnostics(relation_residual=float(relation), b_residual=float(b_resid))

@@ -15,8 +15,6 @@ from cbdetect import (
     EigenResult,
     NoRealLeader,
     bp_run,
-    bprime_eigvec_relations_check,
-    build_b,
     build_bethe_hessian,
     build_bprime,
     empirical_alpha,
@@ -29,6 +27,7 @@ from cbdetect import (
 from cbdetect.cli import main
 from cbdetect.rng import derive_seed
 from conftest import conditioned_small_instance, dense_weight_matrix
+from oracles import bprime_eigvec_relations_check, build_b
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -71,11 +70,11 @@ def test_criterion_02_isolated_eigenvalue():
 
 def test_criterion_03_bulk_confinement():
     inst3 = generate(CbmParams(n=2000, alpha=3, epsilon=0.25, seed=42))
-    spec3 = np.linalg.eigvals(build_bprime(inst3).to_dense())
+    spec3 = np.linalg.eigvals(build_bprime(inst3).toarray())
     ok3 = float(np.max(np.abs(spec3))) <= math.sqrt(3) + 0.15
 
     inst8 = generate(CbmParams(n=2000, alpha=8, epsilon=0.25, seed=42))
-    spec8 = np.linalg.eigvals(build_bprime(inst8).to_dense())
+    spec8 = np.linalg.eigvals(build_bprime(inst8).toarray())
     outside = spec8[np.abs(spec8) > math.sqrt(8) + 0.2]
     ok8 = (
         len(outside) == 1
@@ -100,7 +99,7 @@ def test_criterion_04_bethe_hessian_index():
                 CbmParams(n=2000, alpha=alpha, epsilon=0.25, seed=derive_seed(0, "acceptance4", k))
             )
             h = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
-            ev = np.linalg.eigvalsh(h.to_dense())
+            ev = np.linalg.eigvalsh(h.toarray())
             cs.append(int(np.sum(ev < 0.0)))
         counts[alpha] = cs
         hits[alpha] = sum(c == target for c in cs)
@@ -117,7 +116,7 @@ def test_criterion_05_ihara_bass(small_instances):
         j = dense_weight_matrix(inst)
         d = np.diag(inst.degrees().astype(float))
         eye = np.eye(inst.n)
-        for lam in np.linalg.eigvals(build_bprime(inst).to_dense()):
+        for lam in np.linalg.eigvals(build_bprime(inst).toarray()):
             if min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-6:
                 continue
             sv = np.linalg.svd((lam**2 - 1.0) * eye - lam * j + d, compute_uv=False)
@@ -131,8 +130,8 @@ def test_criterion_06_b_bprime_equivalence(small_instances):
     worst = 0.0
     ok = True
     for inst in small_instances:
-        eb = np.linalg.eigvals(build_b(inst).to_dense())
-        ep = np.linalg.eigvals(build_bprime(inst).to_dense())
+        eb = np.linalg.eigvals(build_b(inst).toarray())
+        ep = np.linalg.eigvals(build_bprime(inst).toarray())
         keep = lambda e: e[np.minimum(np.abs(e - 1.0), np.abs(e + 1.0)) > 1e-4]
         a, b = keep(eb), keep(ep)
         if len(a) != len(b):
@@ -205,7 +204,7 @@ def test_criterion_10_oracle_equivalence():
             CbmParams(n=n, alpha=8, epsilon=eps, seed=derive_seed(0, "acc10-s", k))
         )
         bp = build_bprime(inst)
-        dense = np.linalg.eigvals(bp.to_dense())
+        dense = np.linalg.eigvals(bp.toarray())
         order = np.argsort(-np.abs(dense))
         top, second = dense[order[0]], dense[order[1]]
         res = power_leading(bp, cfg)
@@ -219,7 +218,7 @@ def test_criterion_10_oracle_equivalence():
             ok = ok and abs(top.imag) < 1e-8 and rel < 1e-6
         h = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
         hres = smallest_symmetric(h, cfg)
-        hmin = float(np.linalg.eigvalsh(h.to_dense()).min())
+        hmin = float(np.linalg.eigvalsh(h.toarray()).min())
         rel_h = abs(hres.value - hmin) / abs(hmin)
         worst_h = max(worst_h, rel_h)
         ok = ok and hres.converged and rel_h < 1e-6

@@ -21,11 +21,12 @@ from cbdetect import (
 from cbdetect import eigen
 from cbdetect.eigen import gershgorin_upper
 from cbdetect.rng import derive_seed
+from oracles import build_b
 
 
 def second_eigenvalue_bound(instance) -> float:
     """|lambda_2| of B' by modulus, from the dense oracle."""
-    mods = np.sort(np.abs(dense_spectrum(build_bprime(instance).to_dense())))[::-1]
+    mods = np.sort(np.abs(dense_spectrum(build_bprime(instance).toarray())))[::-1]
     return float(mods[1]) if len(mods) > 1 else 0.0
 
 
@@ -53,13 +54,13 @@ class TestPowerLeading:
         assert res.magnitude == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_matrix_is_null_eigenpair(self):
-        z = SparseMatrix(2, 2, [0, 0, 0], [], [])
+        z = SparseMatrix(([], [], [0, 0, 0]), shape=(2, 2))
         res = power_leading(z)
         assert res.converged and res.value == 0.0 and res.residual == 0.0
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValueError):
-            power_leading(SparseMatrix(0, 0, [0], [], []))
+            power_leading(SparseMatrix(([], [], [0]), shape=(0, 0)))
         with pytest.raises(ValueError):
             power_leading(SparseMatrix.from_coo(1, 2, [0], [1], [1.0]))
 
@@ -120,7 +121,7 @@ class TestSmallestSymmetric:
             )
             h = build_bethe_hessian(inst, 1.7)
             c = gershgorin_upper(h)
-            shifted = c * np.eye(inst.n) - h.to_dense()
+            shifted = c * np.eye(inst.n) - h.toarray()
             assert np.linalg.eigvalsh(shifted).min() >= -1e-10
 
     def test_residual_contract_reverified(self):
@@ -146,9 +147,7 @@ class TestDenseSpectrum:
 
     def test_triangle_b_multiset(self, triangle):
         # B splits into two edge 3-cycles (normal matrix): full 1e-8 accuracy
-        from cbdetect import build_b
-
-        got = list(dense_spectrum(build_b(triangle).to_dense()))
+        got = list(dense_spectrum(build_b(triangle).toarray()))
         want = [1.0, 1.0] + [np.exp(s * 2j * np.pi / 3) for s in (1, 1, -1, -1)]
         for w in want:
             errs = [abs(g - w) for g in got]
@@ -159,7 +158,7 @@ class TestDenseSpectrum:
     def test_triangle_bprime_multiset(self, triangle):
         # eigenvalue 1 of B' sits in a size-2 Jordan block, so a backward
         # stable solver can only place it within ~sqrt(eps*||B'||) ~ 1.5e-8
-        got = list(dense_spectrum(build_bprime(triangle).to_dense()))
+        got = list(dense_spectrum(build_bprime(triangle).toarray()))
         want = [1.0, 1.0] + [np.exp(s * 2j * np.pi / 3) for s in (1, 1, -1, -1)]
         for w in want:
             errs = [abs(g - w) for g in got]
@@ -194,7 +193,7 @@ class TestOracleEquivalence:
             n = 80 + (derive_seed(41, "oe-n", k) % 121)
             inst = generate(CbmParams(n=n, alpha=8, epsilon=0.1, seed=derive_seed(41, "oe-s", k)))
             bp = build_bprime(inst)
-            dense = np.linalg.eigvals(bp.to_dense())
+            dense = np.linalg.eigvals(bp.toarray())
             top = dense[np.argmax(np.abs(dense))]
             res = power_leading(bp)
             assert isinstance(res, EigenResult)
@@ -202,14 +201,14 @@ class TestOracleEquivalence:
             assert abs(res.value - top.real) / abs(top.real) < 1e-6
             h = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
             hres = smallest_symmetric(h)
-            hmin = float(np.linalg.eigvalsh(h.to_dense()).min())
+            hmin = float(np.linalg.eigvalsh(h.toarray()).min())
             assert hres.converged
             assert abs(hres.value - hmin) / abs(hmin) < 1e-6
 
 
 class TestSpectrumExport:
     def test_csv_roundtrip(self, tmp_path, triangle):
-        eig = dense_spectrum(build_bprime(triangle).to_dense())
+        eig = dense_spectrum(build_bprime(triangle).toarray())
         path = tmp_path / "spec.csv"
         spectrum_to_csv(eig, path)
         lines = path.read_text().splitlines()
@@ -220,7 +219,7 @@ class TestSpectrumExport:
         assert np.max(np.abs(np.sort_complex(vals) - np.sort_complex(eig))) < 1e-12
 
     def test_svg_contains_circle_and_points(self, tmp_path, triangle):
-        eig = dense_spectrum(build_bprime(triangle).to_dense())
+        eig = dense_spectrum(build_bprime(triangle).toarray())
         path = tmp_path / "spec.svg"
         spectrum_to_svg(eig, path, radius=math.sqrt(2.0))
         text = path.read_text()

@@ -25,8 +25,7 @@ from cbdetect import (
     smallest_symmetric,
     write_instance,
 )
-from cbdetect import cli
-from cbdetect.inference import population_dynamics_core
+from cbdetect import cli, inference
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
 
@@ -215,11 +214,11 @@ class TestSpectralGolden:
 
 
 class TestPopulationDynamics:
-    def test_zero_coupling_gives_zero_overlap(self):
-        est = population_dynamics_core(
-            alpha=5.0, beta=0.0, epsilon=0.3, pop_size=2000,
-            equilibration_sweeps=20, measurement_sweeps=20,
-            rng=substream(1, "pd-test"),
+    def test_zero_coupling_gives_zero_overlap(self, monkeypatch):
+        monkeypatch.setattr(inference, "beta0", lambda epsilon: 0.0)  # read at call time
+        est = population_dynamics(
+            PopDynConfig(alpha=5.0, epsilon=0.3, pop_size=2000,
+                         equilibration_sweeps=20, measurement_sweeps=20, seed=1)
         )
         assert est == 0.0
 

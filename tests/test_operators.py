@@ -11,8 +11,6 @@ from cbdetect import (
     CbmParams,
     DirectedEdgeIndex,
     SparseMatrix,
-    bprime_eigvec_relations_check,
-    build_b,
     build_bethe_hessian,
     build_bprime,
     empirical_alpha,
@@ -22,14 +20,15 @@ from cbdetect import (
 from cbdetect.operators import index_dtype
 from cbdetect.rng import derive_seed, substream
 from conftest import dense_weight_matrix, make_instance
+from oracles import bprime_eigvec_relations_check, build_b, tails
 
 TRIANGLE_SPECTRUM = np.sort_complex(
     np.array([1.0, 1.0, np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 3),
               np.exp(-2j * np.pi / 3), np.exp(-2j * np.pi / 3)])
 )
 
-# blake2b-128 of row_offsets and col_indices (as int64 bytes, so the integer
-# content is pinned whatever the index dtype) and of values, per operator,
+# blake2b-128 of indptr and indices (as int64 bytes, so the integer
+# content is pinned whatever the index dtype) and of data, per operator,
 # on generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
 GOLDEN_DIGESTS = {
     "bprime": (400, 1465, [
@@ -81,10 +80,10 @@ class TestSparseMatrix:
                 CbmParams(n=10 + k % 41, alpha=4.0, epsilon=0.25, seed=derive_seed(30, "mv", k))
             )
             mats = [build_bprime(inst), build_bethe_hessian(inst, 1.3)]
-            dense = [m.to_dense() for m in mats]
+            dense = [m.toarray() for m in mats]
             for _ in range(5):
                 for m, d in zip(mats, dense):
-                    v = rng.standard_normal(m.ncols)
+                    v = rng.standard_normal(m.shape[1])
                     got, want = m.matvec(v), d @ v
                     scale = np.linalg.norm(want) or 1.0
                     assert np.linalg.norm(got - want) / scale < 1e-12
@@ -93,7 +92,7 @@ class TestSparseMatrix:
 
     def test_is_symmetric_compares_values(self):
         # an explicit zero at (0, 1) matches the absent (1, 0)
-        assert SparseMatrix(2, 2, [0, 2, 3], [0, 1, 1], [1.0, 0.0, 2.0]).is_symmetric()
+        assert SparseMatrix(([1.0, 0.0, 2.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2)).is_symmetric()
         assert not SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]).is_symmetric()
         assert not SparseMatrix.from_coo(2, 3, [0], [0], [1.0]).is_symmetric()
 
@@ -121,12 +120,12 @@ class TestSparseMatrix:
     def test_is_symmetric_fallback_on_structure(self, monkeypatch):
         calls = self._spy_elementwise(monkeypatch)
         # explicit zero against an absent entry: structures differ, values agree
-        assert SparseMatrix(2, 2, [0, 2, 3], [0, 1, 1], [1.0, 0.0, 2.0]).is_symmetric()
+        assert SparseMatrix(([1.0, 0.0, 2.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2)).is_symmetric()
         # unsorted columns in row 0
-        assert SparseMatrix(2, 2, [0, 2, 3], [1, 0, 0], [4.0, 1.0, 4.0]).is_symmetric()
+        assert SparseMatrix(([4.0, 1.0, 4.0], [1, 0, 0], [0, 2, 3]), shape=(2, 2)).is_symmetric()
         # duplicates: (0, 1) = 1 + 2 and (1, 0) = 2 + 1, stored in mirrored order
-        assert SparseMatrix(2, 2, [0, 2, 4], [1, 1, 0, 0], [1.0, 2.0, 2.0, 1.0]).is_symmetric()
-        assert not SparseMatrix(2, 2, [0, 2, 4], [1, 1, 0, 0], [1.0, 2.0, 2.0, 2.0]).is_symmetric()
+        assert SparseMatrix(([1.0, 2.0, 2.0, 1.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2)).is_symmetric()
+        assert not SparseMatrix(([1.0, 2.0, 2.0, 2.0], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2)).is_symmetric()
         assert len(calls) == 4
 
     def test_from_coo_rejects_duplicates(self):
@@ -134,20 +133,35 @@ class TestSparseMatrix:
             SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 1], [0], [1.0])  # offsets wrong length
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, [0, 1], [2], [1.0])  # column out of range
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, [0, 1], [0], [np.inf])  # non-finite
+        with pytest.raises(ValueError, match="index pointer size 2 should be 3"):
+            SparseMatrix(([1.0], [0], [0, 1]), shape=(2, 2))  # offsets wrong length
+        with pytest.raises(ValueError, match="indices must be < 1"):
+            SparseMatrix(([1.0], [2], [0, 1]), shape=(1, 1))  # column out of range
+        with pytest.raises(ValueError, match="values must be finite"):
+            SparseMatrix(([np.inf], [0], [0, 1]), shape=(1, 1))  # non-finite
+
+    def test_is_a_read_only_csr_array(self):
+        inst = generate(CbmParams(n=100, alpha=6, epsilon=0.25, seed=5))
+        h, bprime = build_bethe_hessian(inst, 2.0), build_bprime(inst)
+        for m in (bprime, h):
+            assert isinstance(m, scipy.sparse.csr_array)
+            # the aliases the benchmark tracer reads are scipy's own arrays
+            assert m.row_offsets is m.indptr and m.col_indices is m.indices and m.values is m.data
+            assert (m.nrows, m.ncols) == m.shape
+            with pytest.raises(ValueError, match="read-only"):
+                m.data[0] = 1.0
+            copy = m.copy()  # scipy builds its results through self.__class__
+            assert type(copy) is SparseMatrix and np.array_equal(copy.toarray(), m.toarray())
+        assert (h != h.T.tocsr()).nnz == 0
+        assert (bprime != bprime.T.tocsr()).nnz > 0
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30, deadline=None)
     def test_matvec_property(self, seed):
         inst = generate(CbmParams(n=20, alpha=4, epsilon=0.25, seed=seed))
         m = build_bprime(inst)
-        v = substream(seed, "v").standard_normal(m.ncols)
-        want = m.to_dense() @ v
+        v = substream(seed, "v").standard_normal(m.shape[1])
+        want = m.toarray() @ v
         scale = np.linalg.norm(want) or 1.0
         assert np.linalg.norm(m.matvec(v) - want) / scale < 1e-12
 
@@ -166,10 +180,10 @@ class TestGoldenOperators:
         m = build(inst)
         got = [
             hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
-            for a in (m.row_offsets.astype(np.int64), m.col_indices.astype(np.int64), m.values)
+            for a in (m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data)
         ]
-        assert (m.nrows, m.nnz, got) == GOLDEN_DIGESTS[name]
-        assert [a.dtype.str for a in (m.row_offsets, m.col_indices, m.values)] == ["<i4", "<i4", "<f8"]
+        assert (m.shape[0], m.nnz, got) == GOLDEN_DIGESTS[name]
+        assert [a.dtype.str for a in (m.indptr, m.indices, m.data)] == ["<i4", "<i4", "<f8"]
 
 
 class TestIndexDtype:
@@ -182,46 +196,43 @@ class TestIndexDtype:
     def test_matrix_and_edge_index_follow_it(self):
         inst = generate(CbmParams(n=300, alpha=6, epsilon=0.25, seed=2))
         for m in (build_bprime(inst), build_bethe_hessian(inst, 2.0), build_b(inst)):
-            assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
-            # the scipy handle shares the int32 arrays, no int64 copy
-            assert np.shares_memory(m.csr.indices, m.col_indices)
-            assert np.shares_memory(m.csr.indptr, m.row_offsets)
+            assert m.indptr.dtype == m.indices.dtype == np.int32
         assert DirectedEdgeIndex.from_instance(inst).heads.dtype == np.int32
 
     def test_wide_indices_validated_before_narrowing(self):
         # 2**32 would wrap to column 0 in int32
-        with pytest.raises(ValueError, match="column index out of range"):
-            SparseMatrix(1, 1, [0, 1], np.array([2**32], dtype=np.int64), [1.0])
-        with pytest.raises(ValueError, match="row_offsets"):
-            SparseMatrix(1, 1, np.array([-(2**32), 1], dtype=np.int64), [0], [1.0])
+        with pytest.raises(ValueError, match="indices must be < 1"):
+            SparseMatrix(([1.0], np.array([2**32], dtype=np.int64), [0, 1]), shape=(1, 1))
+        with pytest.raises(ValueError, match="index pointer should start with 0"):
+            SparseMatrix(([1.0], [0], np.array([-(2**32), 1], dtype=np.int64)), shape=(1, 1))
 
 
 class TestDirectedEdgeIndex:
     def test_bijection_and_reverse(self, triangle):
         idx = DirectedEdgeIndex.from_instance(triangle)
         assert idx.count == 6
-        pairs = list(zip(idx.tails.tolist(), idx.heads.tolist()))
+        pairs = list(zip(tails(idx).tolist(), idx.heads.tolist()))
         assert sorted(pairs) == [(i, j) for i in range(3) for j in range(3) if i != j]
         assert all(i < j for i, j in pairs[0::2])  # ordinal 2e is the i<j orientation
         rev = np.arange(6) ^ 1
         assert np.array_equal(rev[rev], np.arange(6))
-        assert np.array_equal(idx.tails[rev], idx.heads)
-        assert np.array_equal(idx.heads[rev], idx.tails)
+        assert np.array_equal(tails(idx)[rev], idx.heads)
+        assert np.array_equal(idx.heads[rev], tails(idx))
         assert np.array_equal(idx.weights[rev], idx.weights)
 
 
 class TestNonBacktracking:
     def test_single_edge_is_zero_matrix(self, single_edge):
         b = build_b(single_edge)
-        assert b.nrows == 2 and b.nnz == 0
-        assert np.array_equal(b.to_dense(), np.zeros((2, 2)))
+        assert b.shape[0] == 2 and b.nnz == 0
+        assert np.array_equal(b.toarray(), np.zeros((2, 2)))
 
     def test_triangle_spectrum(self, triangle):
-        eig = np.linalg.eigvals(build_b(triangle).to_dense())
+        eig = np.linalg.eigvals(build_b(triangle).toarray())
         assert_multiset_close(eig, TRIANGLE_SPECTRUM)
 
     def test_path_is_nilpotent(self, path3):
-        eig = np.linalg.eigvals(build_b(path3).to_dense())
+        eig = np.linalg.eigvals(build_b(path3).toarray())
         assert np.max(np.abs(eig)) < 1e-7
 
     def test_matches_direct_construction(self):
@@ -232,9 +243,9 @@ class TestNonBacktracking:
         direct = np.zeros((k, k))
         for e in range(k):
             for f in range(k):
-                if idx.heads[e] == idx.tails[f] and idx.tails[e] != idx.heads[f]:
+                if idx.heads[e] == tails(idx)[f] and tails(idx)[e] != idx.heads[f]:
                     direct[e, f] = idx.weights[f]
-        assert np.array_equal(build_b(inst).to_dense(), direct)
+        assert np.array_equal(build_b(inst).toarray(), direct)
 
     def test_nnz_formula(self):
         inst = generate(CbmParams(n=40, alpha=5, epsilon=0.25, seed=9))
@@ -249,17 +260,17 @@ class TestNonBacktracking:
 
 class TestBPrime:
     def test_single_edge_eigenvalues(self, single_edge):
-        eig = np.sort(np.linalg.eigvals(build_bprime(single_edge).to_dense()).real)
+        eig = np.sort(np.linalg.eigvals(build_bprime(single_edge).toarray()).real)
         assert np.allclose(eig, [-1.0, 0.0, 0.0, 1.0], atol=1e-10)
 
     def test_triangle_matches_b(self, triangle):
-        eig = np.linalg.eigvals(build_bprime(triangle).to_dense())
+        eig = np.linalg.eigvals(build_bprime(triangle).toarray())
         assert_multiset_close(eig, TRIANGLE_SPECTRUM)
 
     def test_block_structure(self):
         inst = generate(CbmParams(n=25, alpha=4, epsilon=0.25, seed=14))
         n, d = inst.n, inst.degrees()
-        dense = build_bprime(inst).to_dense()
+        dense = build_bprime(inst).toarray()
         assert np.array_equal(dense[:n, :n], np.zeros((n, n)))
         assert np.array_equal(dense[:n, n:], np.diag(d - 1.0))
         assert np.array_equal(dense[n:, :n], -np.eye(n))
@@ -273,8 +284,8 @@ class TestBPrime:
 
     def test_spectra_agree_excluding_unit_eigenvalues(self, small_instances):
         for inst in small_instances[:12]:
-            eb = np.linalg.eigvals(build_b(inst).to_dense())
-            ep = np.linalg.eigvals(build_bprime(inst).to_dense())
+            eb = np.linalg.eigvals(build_b(inst).toarray())
+            ep = np.linalg.eigvals(build_bprime(inst).toarray())
             keep = lambda e: e[np.minimum(np.abs(e - 1), np.abs(e + 1)) > 1e-4]
             a, b = keep(eb), keep(ep)
             assert len(a) == len(b)
@@ -287,7 +298,7 @@ class TestBetheHessian:
     def test_entries(self):
         inst = make_instance(4, [[0, 1, 1], [1, 2, -1]])
         x = 1.5
-        h = build_bethe_hessian(inst, x).to_dense()
+        h = build_bethe_hessian(inst, x).toarray()
         d = inst.degrees()
         for i in range(4):
             assert h[i, i] == x * x - 1 + d[i]
@@ -297,7 +308,7 @@ class TestBetheHessian:
 
     def test_triangle_closed_form(self, triangle):
         x = math.sqrt(2)
-        eig = np.sort(np.linalg.eigvalsh(build_bethe_hessian(triangle, x).to_dense()))
+        eig = np.sort(np.linalg.eigvalsh(build_bethe_hessian(triangle, x).toarray()))
         want = np.sort([3 - 2 * x, 3 + x, 3 + x])
         assert np.allclose(eig, want, atol=1e-10)
 
@@ -305,7 +316,7 @@ class TestBetheHessian:
         inst = generate(CbmParams(n=200, alpha=6, epsilon=0.3, seed=21))
         h = build_bethe_hessian(inst, math.sqrt(6))
         assert h.is_symmetric()
-        dense = h.to_dense()
+        dense = h.toarray()
         assert np.max(np.abs(dense - dense.T)) == 0.0
 
     def test_large_x_positive_definite(self):
@@ -313,7 +324,7 @@ class TestBetheHessian:
         h = build_bethe_hessian(inst, 100.0)
         d = inst.degrees().astype(float)
         assert np.all(100.0**2 - 1 + d > 100.0 * d)  # diagonal dominance
-        assert np.linalg.eigvalsh(h.to_dense()).min() > 0
+        assert np.linalg.eigvalsh(h.toarray()).min() > 0
 
     def test_interlacing_count(self):
         # number of negative eigenvalues of H(x) equals the number of real
@@ -325,7 +336,7 @@ class TestBetheHessian:
             )
             if inst.m < inst.n:
                 continue
-            ev = np.linalg.eigvals(build_bprime(inst).to_dense())
+            ev = np.linalg.eigvals(build_bprime(inst).toarray())
             realev = np.sort(ev[np.abs(ev.imag) < 1e-8].real)
             if realev.size == 0:
                 continue
@@ -335,7 +346,7 @@ class TestBetheHessian:
             for x in xs:
                 if x <= 1.0 or np.min(np.abs(realev - x)) < 1e-3:
                     continue
-                h = build_bethe_hessian(inst, float(x)).to_dense()
+                h = build_bethe_hessian(inst, float(x)).toarray()
                 assert int((np.linalg.eigvalsh(h) < 0).sum()) == int((realev > x).sum())
 
 
@@ -345,7 +356,7 @@ class TestIharaBass:
             j = dense_weight_matrix(inst)
             d = np.diag(inst.degrees().astype(float))
             eye = np.eye(inst.n)
-            for lam in np.linalg.eigvals(build_bprime(inst).to_dense()):
+            for lam in np.linalg.eigvals(build_bprime(inst).toarray()):
                 if min(abs(lam - 1), abs(lam + 1)) <= 1e-6:
                     continue
                 sv = np.linalg.svd((lam**2 - 1) * eye - lam * j + d, compute_uv=False)
