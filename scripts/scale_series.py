@@ -8,6 +8,10 @@ epsilon = 0.25, so each peak belongs to that command alone.  Each child fixes
 glibc's malloc thresholds as ``perfbench/run.py`` does, imports cbdetect
 from this checkout's ``src/``, runs ``cli.main`` and reports its own CPU
 seconds for the command, its ``ru_maxrss`` after the imports and at the end.
+For ``detect`` the ``iterations`` of its JSON line (power iterations for NB
+and BH, sweeps for BP) are reported too, with the command's CPU
+milliseconds per iteration; for BP that is the cost of one sweep plus its
+share of reading the file and setting up.
 One JSON line per command goes to stdout, followed by a table on stderr.
 The instance files live in a temporary directory that is removed at the end.
 """
@@ -53,7 +57,10 @@ def run(argv) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, __file__, "--child", *argv], env=env,
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stderr.strip().splitlines()[-1])
+    costs = json.loads(proc.stderr.strip().splitlines()[-1])
+    iterations = json.loads(proc.stdout.splitlines()[-1])["iterations"] if argv[0] == "detect" else None
+    per_iter = 1e3 * costs["cpu_s"] / iterations if iterations else None
+    return {**costs, "iterations": iterations, "ms_per_iteration": per_iter}
 
 
 def main() -> int:
@@ -77,10 +84,13 @@ def main() -> int:
                 row = {"n": n, "command": name, **run(argv)}
                 rows.append(row)
                 print(json.dumps(row), flush=True)
-    print(f"{'n':>8} {'command':<10} {'exit':>4} {'cpu_s':>8} {'import_mb':>9} {'peak_mb':>8}", file=sys.stderr)
+    print(f"{'n':>8} {'command':<10} {'exit':>4} {'cpu_s':>8} {'iters':>6} {'ms/iter':>8} {'import_mb':>9} "
+          f"{'peak_mb':>8}", file=sys.stderr)
     for r in rows:
-        print(f"{r['n']:>8} {r['command']:<10} {r['exit']:>4} {r['cpu_s']:>8.2f} {r['import_mb']:>9.1f} "
-              f"{r['peak_mb']:>8.1f}", file=sys.stderr)
+        iters = "" if r["iterations"] is None else r["iterations"]
+        per_iter = "" if r["ms_per_iteration"] is None else f"{r['ms_per_iteration']:.2f}"
+        print(f"{r['n']:>8} {r['command']:<10} {r['exit']:>4} {r['cpu_s']:>8.2f} {iters:>6} {per_iter:>8} "
+              f"{r['import_mb']:>9.1f} {r['peak_mb']:>8.1f}", file=sys.stderr)
     return 0
 
 

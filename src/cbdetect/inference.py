@@ -73,6 +73,10 @@ class BpConfig:
     max_sweeps: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be >= 1")
+
 
 @dataclass
 class BpState:
@@ -180,46 +184,56 @@ def bp_fixed_point(
     _require_edges(instance)
     cfg = cfg or BpConfig()
     index = DirectedEdgeIndex.from_instance(instance)
-    n = instance.n
-    heads = index.heads.astype(np.intp, copy=False)  # bincount and take cast any other dtype per call
+    n, m, count = instance.n, instance.m, index.count
     t = np.tanh(beta)
     if initial is not None:
-        msgs = np.array(initial, dtype=np.float64)
-        if msgs.shape != (index.count,):
-            raise ValueError(f"initial messages must have shape ({index.count},)")
+        draw = np.array(initial, dtype=np.float64)
+        if draw.shape != (count,):
+            raise ValueError(f"initial messages must have shape ({count},)")
     else:
-        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=index.count)
+        draw = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=count)
 
-    def contributions(m, out):
-        # atanh(tanh(beta*J) * m) with J = +-1: (J*m)*t rounds exactly as (J*t)*m
-        np.multiply(index.weights, m, out=out)
-        out *= t
+    # The sweeps store the directed edges in halves: k < m is edge k as i->j,
+    # k + m its reversal j->i, so reversing swaps two contiguous halves.  With
+    # the edges sorted by (i, j), bincount meets each node's terms in the same
+    # order as over the ordinals 2e, 2e+1, so every sum rounds as it did
+    # there (docs/decisions.md).  heads is intp once: bincount and take cast
+    # any other dtype per call.
+    heads = index.heads.reshape(m, 2).T.astype(np.intp, order="C").reshape(-1)
+    tw = index.weights[0::2] * t  # tanh(beta*J) with J = +-1: (J*t)*m rounds exactly as (J*m)*t
+    del index
+
+    def contributions(msgs, out):
+        np.multiply(msgs.reshape(2, m), tw, out=out.reshape(2, m))
         np.clip(out, -_ATANH_CLIP, _ATANH_CLIP, out=out)
         return np.arctanh(out, out=out)
 
     # every sweep runs in three 2m buffers: msgs, contrib and work
-    contrib = np.empty(index.count)
-    work = np.empty(index.count)
-    state = BpState(messages=msgs, beta0=beta)
-    for sweep in range(1, cfg.max_sweeps + 1):
+    msgs = np.empty(count)
+    msgs.reshape(2, m)[...] = draw.reshape(m, 2).T
+    work = draw  # the interleaved start is not read again
+    contrib = np.empty(count)
+    deltas = []
+    for _ in range(cfg.max_sweeps):
         site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
-        # work[k] = site[head(k)] - contrib[k], the cavity field of the reverse edge k ^ 1
+        # work[k] = site[head(k)] - contrib[k], the cavity field of the reversal of k
         np.take(site, heads, out=work, mode="clip")  # heads lie in [0, n): "clip" only skips take's buffer
         np.subtract(work, contrib, out=work)
-        fresh = np.tanh(work.reshape(-1, 2)[:, ::-1], out=contrib.reshape(-1, 2)).reshape(-1)
-        fresh *= 1.0 - BP_DAMPING
+        np.tanh(work[m:], out=contrib[:m])
+        np.tanh(work[:m], out=contrib[m:])
+        contrib *= 1.0 - BP_DAMPING
         np.multiply(msgs, BP_DAMPING, out=work)
-        new = np.add(fresh, work, out=work)
-        np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
-        delta = float(np.max(contrib))
-        msgs, work = new, msgs
-        state.messages = msgs
-        state.sweeps = sweep
-        state.max_delta.append(delta)
-        if delta < BP_TOL:
-            state.converged = True
+        np.add(contrib, work, out=work)
+        np.abs(np.subtract(work, msgs, out=contrib), out=contrib)
+        deltas.append(float(np.max(contrib)))
+        msgs, work = work, msgs
+        if deltas[-1] < BP_TOL:
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
+    # back to the ordinals of DirectedEdgeIndex, in the spare buffer
+    work.reshape(m, 2)[...] = msgs.reshape(2, m).T
+    state = BpState(messages=work, beta0=beta, sweeps=len(deltas), max_delta=deltas,
+                    converged=deltas[-1] < BP_TOL)
     return state, marginals
 
 
@@ -242,7 +256,7 @@ def bp_run(
         seed=instance.params.seed,
         labels=sign_pm1(marginals),
         iterations=state.sweeps,
-        residual=state.max_delta[-1] if state.max_delta else 0.0,
+        residual=state.max_delta[-1],
         reason=None if state.converged else "message passing did not converge",
     )
     return _fill_overlap(out, instance)

@@ -1,15 +1,20 @@
-"""Test-only oracles: the explicit non-backtracking operator B and the B <-> B' relations.
+"""Test-only oracles: the explicit non-backtracking operator B, the B <-> B' relations
+and the BP sweep on interleaved directed-edge ordinals.
 
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
-acceptance tests compare B' against.
+acceptance tests compare B' against.  ``bp_reference`` is the BP sweep as
+it ran before ``bp_fixed_point`` stored the directed edges in halves; the
+BP tests compare the two bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from cbdetect import CbmInstance, DirectedEdgeIndex, SparseMatrix
+from cbdetect import BpConfig, BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
+from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_TOL, _require_edges
+from cbdetect.rng import substream
 
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
 
@@ -80,3 +85,53 @@ def bprime_eigvec_relations_check(
     resid = b.matvec(edge_vec) - lam * edge_vec
     b_resid = np.max(np.abs(resid)) / np.max(np.abs(edge_vec))
     return RelationDiagnostics(relation_residual=float(relation), b_residual=float(b_resid))
+
+
+def bp_reference(
+    instance: CbmInstance,
+    beta: float,
+    cfg: BpConfig | None = None,
+    initial: np.ndarray | None = None,
+) -> tuple[BpState, np.ndarray]:
+    """``bp_fixed_point`` run on the ordinals of ``DirectedEdgeIndex``, reversal k <-> k ^ 1."""
+    _require_edges(instance)
+    cfg = cfg or BpConfig()
+    index = DirectedEdgeIndex.from_instance(instance)
+    n = instance.n
+    heads = index.heads.astype(np.intp, copy=False)
+    t = np.tanh(beta)
+    if initial is not None:
+        msgs = np.array(initial, dtype=np.float64)
+        if msgs.shape != (index.count,):
+            raise ValueError(f"initial messages must have shape ({index.count},)")
+    else:
+        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=index.count)
+
+    def contributions(m, out):
+        np.multiply(index.weights, m, out=out)
+        out *= t
+        np.clip(out, -_ATANH_CLIP, _ATANH_CLIP, out=out)
+        return np.arctanh(out, out=out)
+
+    contrib = np.empty(index.count)
+    work = np.empty(index.count)
+    state = BpState(messages=msgs, beta0=beta)
+    for sweep in range(1, cfg.max_sweeps + 1):
+        site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
+        np.take(site, heads, out=work, mode="clip")
+        np.subtract(work, contrib, out=work)
+        fresh = np.tanh(work.reshape(-1, 2)[:, ::-1], out=contrib.reshape(-1, 2)).reshape(-1)
+        fresh *= 1.0 - BP_DAMPING
+        np.multiply(msgs, BP_DAMPING, out=work)
+        new = np.add(fresh, work, out=work)
+        np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
+        delta = float(np.max(contrib))
+        msgs, work = new, msgs
+        state.messages = msgs
+        state.sweeps = sweep
+        state.max_delta.append(delta)
+        if delta < BP_TOL:
+            state.converged = True
+            break
+    marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
+    return state, marginals

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbdetect import (
     BpConfig,
@@ -28,6 +30,7 @@ from cbdetect import (
 from cbdetect import cli, inference
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
+from oracles import bp_reference
 
 
 def gauge_flip(instance, flip_seed=99):
@@ -141,6 +144,68 @@ class TestBeliefPropagation:
         state, _ = bp_fixed_point(inst, beta0(0.2), BpConfig(max_sweeps=25))
         assert state.sweeps == len(state.max_delta)
         assert all(d >= 0 for d in state.max_delta)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_sweeps_below_one_rejected(self, bad):
+        # a run of no sweeps would report labels from the random start as converged
+        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+            BpConfig(max_sweeps=bad)
+
+
+@st.composite
+def bp_cases(draw):
+    """A small simple graph with its edges in drawn (unsorted) order, and a BP run's settings."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    edges = [(i, j, draw(st.sampled_from((-1, 1)))) for i, j in chosen]
+    epsilon = draw(st.one_of(st.sampled_from((1e-15, 1e-14, 1e-9)), st.floats(0.01, 0.49)))
+    max_sweeps = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=30), st.just(500)))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    initial_seed = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)))
+    return n, edges, epsilon, max_sweeps, seed, initial_seed, draw(st.booleans())
+
+
+class TestBpMatchesReference:
+    """``bp_fixed_point`` (edges in halves) against the interleaved sweep, bit for bit."""
+
+    CAPPED = (5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)], 0.25, 3, 6, None, False)
+    K5 = [(i, j, 1) for i in range(5) for j in range(i + 1, 5)][::-1]
+    CLIPPED = (5, K5, 1e-14, 500, 7, 12, True)  # saturated start: tanh(beta0) * 1 exceeds the atanh clip
+
+    @staticmethod
+    def run_both(n, edges, epsilon, max_sweeps, seed, initial_seed, saturated):
+        """``initial`` is drawn from ``initial_seed``, as signs +-1 if ``saturated``, else uniform."""
+        inst = make_instance(n, edges)
+        initial = None
+        if initial_seed is not None:
+            initial = np.random.default_rng(initial_seed).uniform(-1.0, 1.0, size=2 * inst.m)
+            if saturated:
+                initial = np.sign(initial)
+        args = (inst, beta0(epsilon), BpConfig(max_sweeps=max_sweeps, seed=seed))
+        return bp_reference(*args, initial=initial), bp_fixed_point(*args, initial=initial)
+
+    @given(case=bp_cases())
+    @example(case=(6, [(1, 3, 1), (2, 4, -1)], 0.2, 500, 1, None, False))  # isolated nodes 0 and 5
+    @example(case=(2, [(0, 1, -1)], 0.25, 500, 2, None, False))  # a single edge
+    @example(case=(5, [(2, 4, 1), (0, 3, -1), (3, 4, 1), (0, 1, 1), (1, 2, -1)], 0.1, 500, 3, None, False))  # unsorted
+    @example(case=(4, [(0, 1, 1), (1, 2, 1), (2, 3, -1), (0, 3, 1)], 0.3, 500, 4, 11, False))  # initial given
+    @example(case=(4, [(0, 1, 1), (1, 2, 1), (2, 3, -1), (0, 3, 1)], 0.3, 1, 5, None, False))  # one sweep
+    @example(case=CAPPED)
+    @example(case=CLIPPED)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_interleaved_sweep(self, case):
+        (ref, ref_marginals), (state, marginals) = self.run_both(*case)
+        assert (state.sweeps, state.converged) == (ref.sweeps, ref.converged)
+        assert state.max_delta == ref.max_delta
+        assert state.messages.tobytes() == ref.messages.tobytes()
+        assert marginals.tobytes() == ref_marginals.tobytes()
+
+    def test_examples_reach_their_regimes(self):
+        _, (state, _) = self.run_both(*self.CAPPED)
+        assert state.sweeps == 3 and not state.converged
+        _, (state, _) = self.run_both(*self.CLIPPED)
+        assert np.max(np.abs(np.tanh(beta0(1e-14)) * state.messages)) > inference._ATANH_CLIP
 
 
 class TestBpGolden:

@@ -2,10 +2,12 @@
 
 tracemalloc sees every numpy buffer, so these bounds catch a sweep or an
 assembly that goes back to fresh temporaries or int64 index copies.  The
-measured peaks at n = 2*10^4, alpha = 8 are about 5.9 units for
+measured peaks at n = 2*10^4, alpha = 8 are about 4.9 units for
 ``bp_fixed_point``, 4.9 for ``build_bprime`` and 4.3 for
 ``build_bethe_hessian`` with ``is_symmetric``; the previous allocation
 pattern took 12.1, 7.0 and 7.4 units, and 5.0 for ``is_symmetric`` alone.
+BP took 5.9 units while its sweeps ran on the interleaved directed-edge
+ordinals and kept the edge index alive.
 """
 
 import math
