@@ -124,12 +124,12 @@ def power_leading(matrix: SparseMatrix, cfg: SolverConfig | None = None):
 def gershgorin_upper(matrix: SparseMatrix) -> float:
     """Row-circle upper bound on the largest eigenvalue of a symmetric matrix."""
     dim = matrix.shape[0]
-    rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(matrix.indptr))
-    diag = np.zeros(dim)
-    on_diag = rows == matrix.indices
-    diag[rows[on_diag]] = matrix.data[on_diag]
-    radius = np.bincount(rows[~on_diag], weights=np.abs(matrix.data[~on_diag]), minlength=dim)
-    return float(np.max(diag + radius)) if dim else 0.0
+    rows = np.repeat(np.arange(dim, dtype=np.intp), np.diff(matrix.indptr))
+    weights = np.abs(matrix.data)
+    weights[rows == matrix.indices] = 0.0  # adding +0.0 leaves each row's radius unchanged
+    radius = np.bincount(rows, weights=weights, minlength=dim)
+    radius += matrix.diagonal()
+    return float(np.max(radius)) if dim else 0.0
 
 
 def smallest_symmetric(matrix: SparseMatrix, cfg: SolverConfig | None = None) -> EigenResult:

@@ -142,6 +142,8 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
 
     Geometric skip-sampling: jump lengths between selected pairs are
     drawn by inverting the geometric CDF, which is O(m) regardless of n.
+    Each block of draws becomes its positions in place; the positions are
+    integer-valued floats below 2^53, so every sum is exact.
     """
     total = n * (n - 1) // 2
     if total == 0 or p <= 0.0:
@@ -153,41 +155,46 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     chunks = []
     cum = 0.0
     while True:
-        u = rng.random(block)
+        c = rng.random(block)
         with np.errstate(divide="ignore"):
-            jumps = np.floor(np.log(u) / log1mp) + 1.0
-        c = cum + np.cumsum(jumps)
+            np.log(c, out=c)
+        c /= log1mp
+        np.floor(c, out=c)
+        c += 1.0
+        np.cumsum(c, out=c)
+        c += cum
         if not np.isfinite(c[-1]) or c[-1] > total:
-            chunks.append(c[np.isfinite(c) & (c <= total)])
+            # positions only grow (+inf past a zero draw): the kept ones are a prefix
+            chunks.append(c[: np.searchsorted(c, total, side="right")])
             break
         chunks.append(c)
         cum = float(c[-1])
-    pos = np.concatenate(chunks) - 1.0
-    return pos.astype(np.int64)
+    pos = np.empty(sum(map(len, chunks)), dtype=np.int64)
+    np.concatenate(chunks, out=pos, casting="unsafe")
+    pos -= 1
+    return pos
 
 
 def _decode_pair_indices(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map linear pair indices to (i, j) with i < j; row i holds pairs (i, i+1..n-1)."""
-
-    def row_start(i):
-        return i * (2 * n - i - 1) // 2
-
-    k = pos.astype(np.float64)
     tn = 2.0 * n - 1.0
-    i = np.floor((tn - np.sqrt(tn * tn - 8.0 * k)) / 2.0).astype(np.int64)
+    k = pos * -8.0
+    k += tn * tn
+    np.sqrt(k, out=k)
+    np.subtract(tn, k, out=k)
+    k *= 0.5
+    i = np.floor(k, out=k).astype(np.int64)
+    del k
     np.clip(i, 0, n - 2, out=i)
     # float inversion can be off by one near row boundaries; fix up exactly
     while True:
-        too_low = pos < row_start(i)
-        if not np.any(too_low):
+        j = pos - (i * (2 * n - 1 - i) >> 1)  # offset of pos in row i
+        low, high = j < 0, j >= n - 1 - i
+        if not (low.any() or high.any()):
             break
-        i[too_low] -= 1
-    while True:
-        too_high = pos >= row_start(i + 1)
-        if not np.any(too_high):
-            break
-        i[too_high] += 1
-    j = i + 1 + (pos - row_start(i))
+        i[low] -= 1
+        i[high] += 1
+    j += i + 1
     return i, j
 
 
@@ -203,10 +210,14 @@ def generate(params: CbmParams) -> CbmInstance:
     p = params.alpha / n
     sigma = 2 * substream(params.seed, "sigma").integers(0, 2, size=n, dtype=np.int64) - 1
     pos = _sample_pair_indices(n, p, substream(params.seed, "edges"))
-    i, j = _decode_pair_indices(pos, n)
-    u = substream(params.seed, "noise").random(pos.size)
-    w = sigma[i] * sigma[j] * np.where(u < params.epsilon, -1, 1)
-    edges = np.column_stack([i, j, w]) if pos.size else np.empty((0, 3), dtype=np.int64)
+    edges = np.empty((pos.size, 3), dtype=np.int64)
+    edges[:, 0], edges[:, 1] = _decode_pair_indices(pos, n)
+    del pos
+    i, j, w = edges.T
+    np.take(sigma, i, out=w, mode="clip")  # i is in range; "raise" would buffer
+    w *= sigma[j]
+    flipped = substream(params.seed, "noise").random(w.size) < params.epsilon
+    np.negative(w, out=w, where=flipped)
     return CbmInstance(params=params, sigma=sigma, edges=edges)
 
 
@@ -253,16 +264,47 @@ def empirical_alpha(instance: CbmInstance) -> float:
     return 2.0 * instance.m / instance.n
 
 
+def _digit_table(n: int) -> np.ndarray:
+    """(n, d) ASCII digits of the ids 0..n-1, right-aligned, 0 bytes on the left."""
+    d = len(str(n - 1))
+    digits = np.empty((n, d), dtype=np.uint8)
+    q = np.arange(n)
+    for k in range(d - 1, -1, -1):
+        digits[:, k] = q % 10 + ord("0")
+        q //= 10
+    for r in range(1, d):
+        digits[: 10**r, d - 1 - r] = 0  # ids below 10^r have no digit there
+    return digits
+
+
 def write_instance(instance: CbmInstance, path) -> None:
-    """Serialize to the text instance format (see ``read_instance``)."""
+    """Serialize to the text instance format (see ``read_instance``).
+
+    Each node id's decimal digits come from one (n, d) byte table, right-aligned
+    and padded with 0 bytes; a chunk of edge lines is laid out at fixed width
+    and the padding squeezed out, which gives exactly the "%d %d %d" lines.
+    """
     params = instance.params
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.write(f"{FORMAT_HEADER}\n{instance.n} {instance.m} {params.epsilon!r} {params.seed}\nsigma\n")
-        f.write(" ".join(map(str, instance.sigma.tolist())) + "\n")
-        # chunked so the text of at most _EDGE_CHUNK rows is held at once
+    n, edges = instance.n, instance.edges
+    digits = _digit_table(n)
+    d = digits.shape[1]
+    signs = np.zeros((n, 3), dtype=np.uint8)
+    signs[:, 0] = np.where(instance.sigma < 0, ord("-"), 0)
+    signs[:, 1:] = ord("1"), ord(" ")
+    signs[-1, 2] = ord("\n")
+    # line layout: i, space, j, space, "-" or padding, "1", newline
+    line = np.zeros((min(edges.shape[0], _EDGE_CHUNK), 2 * d + 5), dtype=np.uint8)
+    line[:, [d, 2 * d + 1, 2 * d + 3, 2 * d + 4]] = [ord(" "), ord(" "), ord("1"), ord("\n")]
+    with Path(path).open("wb") as f:
+        f.write(f"{FORMAT_HEADER}\n{n} {instance.m} {params.epsilon!r} {params.seed}\nsigma\n".encode())
+        f.write(signs[signs != 0])
         for s in range(0, instance.m, _EDGE_CHUNK):
-            rows = instance.edges[s : s + _EDGE_CHUNK]
-            f.write("%d %d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+            rows = edges[s : s + _EDGE_CHUNK]
+            out = line[: len(rows)]
+            out[:, :d] = digits[rows[:, 0]]
+            out[:, d + 1 : 2 * d + 1] = digits[rows[:, 1]]
+            out[:, 2 * d + 2] = np.where(rows[:, 2] < 0, ord("-"), 0)
+            f.write(out[out != 0])
 
 
 def read_instance(path) -> CbmInstance:

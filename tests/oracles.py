@@ -1,19 +1,26 @@
-"""Test-only oracles: the explicit non-backtracking operator B, the B <-> B' relations
-and the BP sweep on interleaved directed-edge ordinals.
+"""Test-only oracles: the explicit non-backtracking operator B, the B <-> B' relations,
+the BP sweep on interleaved directed-edge ordinals, and the instance writer and
+pair sampler as they were before they worked in place.
 
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
 acceptance tests compare B' against.  ``bp_reference`` is the BP sweep as
 it ran before ``bp_fixed_point`` stored the directed edges in halves; the
-BP tests compare the two bit for bit.
+BP tests compare the two bit for bit.  ``write_reference`` formats every
+edge line with ``"%d %d %d\n"`` and ``sample_pair_indices_reference``
+concatenates fresh per-block temporaries; the model tests compare file
+bytes and pair indices against them.
 """
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from cbdetect import BpConfig, BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
 from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_TOL, _require_edges
+from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER
 from cbdetect.rng import substream
 
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
@@ -135,3 +142,39 @@ def bp_reference(
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
     return state, marginals
+
+
+def write_reference(instance: CbmInstance, path) -> None:
+    """``write_instance`` as it formatted one Python int at a time, in text mode."""
+    params = instance.params
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(f"{FORMAT_HEADER}\n{instance.n} {instance.m} {params.epsilon!r} {params.seed}\nsigma\n")
+        f.write(" ".join(map(str, instance.sigma.tolist())) + "\n")
+        for s in range(0, instance.m, _EDGE_CHUNK):
+            rows = instance.edges[s : s + _EDGE_CHUNK]
+            f.write("%d %d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def sample_pair_indices_reference(n: int, p: float, rng) -> np.ndarray:
+    """``model._sample_pair_indices`` with fresh temporaries per block and one concatenation."""
+    total = n * (n - 1) // 2
+    if total == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    log1mp = math.log1p(-p)
+    block = int(min(4 << 20, total * p + 6.0 * math.sqrt(total * p) + 16.0))
+    chunks = []
+    cum = 0.0
+    while True:
+        u = rng.random(block)
+        with np.errstate(divide="ignore"):
+            jumps = np.floor(np.log(u) / log1mp) + 1.0
+        c = cum + np.cumsum(jumps)
+        if not np.isfinite(c[-1]) or c[-1] > total:
+            chunks.append(c[np.isfinite(c) & (c <= total)])
+            break
+        chunks.append(c)
+        cum = float(c[-1])
+    pos = np.concatenate(chunks) - 1.0
+    return pos.astype(np.int64)

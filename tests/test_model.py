@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tempfile
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbdetect import (
@@ -26,6 +27,8 @@ from cbdetect import (
 from cbdetect import model
 from cbdetect.model import _decode_pair_indices, _sample_pair_indices
 from cbdetect.rng import substream
+from conftest import make_instance
+from oracles import sample_pair_indices_reference, write_reference
 
 # written by the line-at-a-time writer that preceded the vectorised one
 GOLDEN = Path(__file__).parent / "data" / "golden.cbm"
@@ -95,6 +98,15 @@ class TestGenerate:
             inst = generate(CbmParams(n=n, alpha=alpha, epsilon=0.25, seed=seed))
             assert abs(inst.m - mean) < 3 * sd
 
+    def test_generated_arrays_pinned(self):
+        # digest of the arrays as drawn before generation worked in place
+        inst = generate(CbmParams(n=20_000, alpha=8, epsilon=0.25, seed=3))
+        h = hashlib.blake2b(digest_size=16)
+        h.update(inst.sigma.astype("<i8").tobytes())
+        h.update(inst.edges.astype("<i8").tobytes())
+        assert inst.m == 79908
+        assert h.hexdigest() == "cc0814a3e8d3692e802d4bc5e7c3606f"
+
     def test_deterministic_regeneration(self):
         p = CbmParams(n=500, alpha=6, epsilon=0.2, seed=99)
         a, b = generate(p), generate(p)
@@ -138,6 +150,40 @@ class TestPairSampling:
             i, j = _decode_pair_indices(np.arange(total, dtype=np.int64), n)
             expected = [(a, b) for a in range(n) for b in range(a + 1, n)]
             assert list(zip(i.tolist(), j.tolist())) == expected
+
+    def test_decode_fixes_float_guesses_at_row_boundaries(self):
+        # at n = 2*10^9 the float inversion misses hundreds of these rows in both directions
+        n = 2 * 10**9
+        rows = np.concatenate([np.random.default_rng(0).integers(1, n - 1, 300), [0, 1, n - 3, n - 2]])
+        starts = rows * (2 * n - rows - 1) // 2
+        i, j = _decode_pair_indices(np.concatenate([starts, starts + (n - 2 - rows), starts[1:] - 1]), n)
+        assert np.array_equal(i, np.concatenate([rows, rows, rows[1:] - 1]))
+        assert np.array_equal(j, np.concatenate([rows + 1, np.full(2 * len(rows) - 1, n - 1)]))
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (50, 0.3), (2000, 0.004), (30_000, 3e-4)])
+    def test_sampler_matches_reference(self, n, p):
+        got = _sample_pair_indices(n, p, substream(7, "t"))
+        assert np.array_equal(got, sample_pair_indices_reference(n, p, substream(7, "t")))
+
+    @pytest.mark.parametrize("zero_at", [None, 1234])
+    def test_multi_block_sampling_matches_reference(self, zero_at):
+        # draws just below 1 make every jump 1, so the sample needs many blocks;
+        # a draw of exactly 0 is an infinite jump that ends it early
+        class NearOne:
+            def __init__(self):
+                self.rng, self.drawn = np.random.default_rng(0), 0
+
+            def random(self, size):
+                u = 1.0 - self.rng.random(size) * 1e-12
+                if zero_at is not None and self.drawn <= zero_at < self.drawn + size:
+                    u[zero_at - self.drawn] = 0.0
+                self.drawn += size
+                return u
+
+        n, p = 200, 0.01
+        got = _sample_pair_indices(n, p, NearOne())
+        assert np.array_equal(got, sample_pair_indices_reference(n, p, NearOne()))
+        assert np.array_equal(got, np.arange(n * (n - 1) // 2 if zero_at is None else zero_at))
 
     def test_skip_sampling_statistics(self):
         n, p = 2000, 0.004
@@ -317,6 +363,37 @@ class TestInstanceFile:
         assert np.array_equal(back.edges, inst.edges)
         assert back.params.epsilon == GOLDEN_PARAMS.epsilon
         assert back.params.seed == GOLDEN_PARAMS.seed
+
+    @pytest.mark.parametrize("n", [10, 11, 100, 101, 1000, 1001])
+    def test_digit_boundary_ids_match_reference_writer(self, tmp_path, n):
+        ids = sorted({0, 1, 8, 9, 10, 99, 100, 999, 1000} & set(range(n)) | {n - 2, n - 1})
+        edges = [(i, j, 1 - 2 * ((i + j) % 2)) for k, i in enumerate(ids) for j in ids[k + 1 :]]
+        inst = make_instance(n, edges, sigma=-np.ones(n, dtype=np.int64))
+        write_instance(inst, tmp_path / "a.cbm")
+        write_reference(inst, tmp_path / "b.cbm")
+        assert (tmp_path / "a.cbm").read_bytes() == (tmp_path / "b.cbm").read_bytes()
+
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, 10, 11, 100, 101, 1000, 1001]), st.integers(1, 1500)),
+        alpha=st.floats(min_value=0.01, max_value=12.0),
+        eps=st.sampled_from([0.0, 0.25, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        signs=st.sampled_from(["drawn", "all negative"]),
+    )
+    @example(n=1, alpha=0.5, eps=0.25, seed=0, signs="drawn")  # m = 0
+    @example(n=1001, alpha=12.0, eps=0.5, seed=1, signs="all negative")
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_reference_writer(self, n, alpha, eps, seed, signs):
+        inst = generate(CbmParams(n=n, alpha=min(alpha, n), epsilon=eps, seed=seed))
+        if signs == "all negative":
+            edges = inst.edges.copy()
+            edges[:, 2] = -1
+            inst = CbmInstance(params=inst.params, sigma=-np.ones(n, dtype=np.int64), edges=edges)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.cbm", Path(tmp) / "b.cbm"
+            write_instance(inst, a)
+            write_reference(inst, b)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_plain_file_skips_line_parser(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
-"""Peak traced memory of BP and of operator assembly, in units of one 2m float64 array.
+"""Peak traced memory of generation, instance writing, BP and operator assembly,
+in units of one 2m float64 array.
 
 tracemalloc sees every numpy buffer, so these bounds catch a sweep or an
 assembly that goes back to fresh temporaries or int64 index copies.  The
@@ -7,7 +8,13 @@ measured peaks at n = 2*10^4, alpha = 8 are about 4.9 units for
 ``build_bethe_hessian`` with ``is_symmetric``; the previous allocation
 pattern took 12.1, 7.0 and 7.4 units, and 5.0 for ``is_symmetric`` alone.
 BP took 5.9 units while its sweeps ran on the interleaved directed-edge
-ordinals and kept the edge index alive.
+ordinals and kept the edge index alive.  ``generate`` takes about 4.2
+units (the (m, 3) edge array, the checks and the copy in ``CbmInstance``),
+``write_instance`` 2.3 (one chunk of fixed-width lines, its mask and the
+squeezed bytes) and ``gershgorin_upper`` 2.5; when generation concatenated
+fresh temporaries and stacked the columns, the writer formatted Python ints
+and the Gershgorin bound gathered the off-diagonal entries, they took 6.6,
+6.2 and 4.4.
 """
 
 import math
@@ -24,7 +31,9 @@ from cbdetect import (
     build_bprime,
     empirical_alpha,
     generate,
+    write_instance,
 )
+from cbdetect.eigen import gershgorin_upper
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +65,16 @@ def test_bethe_hessian_assembly_and_symmetry_check(inst):
     assert peak_units(inst, lambda: build_bethe_hessian(inst, x).is_symmetric()) < 6.0
     h = build_bethe_hessian(inst, x)
     assert peak_units(inst, h.is_symmetric) < 3.0
+
+
+def test_generation_builds_the_edge_array_in_place(inst):
+    assert peak_units(inst, lambda: generate(inst.params)) < 5.5
+
+
+def test_instance_writer_holds_one_chunk(inst, tmp_path):
+    assert peak_units(inst, lambda: write_instance(inst, tmp_path / "x.cbm")) < 3.0
+
+
+def test_gershgorin_bound_without_gathered_copies(inst):
+    h = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
+    assert peak_units(inst, lambda: gershgorin_upper(h)) < 3.0
