@@ -1,4 +1,4 @@
-"""Time and peak memory of ``cbdetect gen`` and ``detect`` NB/BH/BP as n grows.
+"""Time and peak memory of ``cbdetect gen`` and ``detect`` NB/BH/BP as n grows, and of ``popdyn``.
 
     python3 scripts/scale_series.py                    # n = 10^4 and 10^5
     python3 scripts/scale_series.py --n 10000,100000,1000000
@@ -11,7 +11,10 @@ seconds for the command, its ``ru_maxrss`` after the imports and at the end.
 For ``detect`` the ``iterations`` of its JSON line (power iterations for NB
 and BH, sweeps for BP) are reported too, with the command's CPU
 milliseconds per iteration; for BP that is the cost of one sweep plus its
-share of reading the file and setting up.
+share of reading the file and setting up.  ``popdyn`` does not depend on n
+and runs once, after the sizes, at the same alpha and epsilon with
+``--pop-size 10000``; its iterations are its equilibration plus measurement
+sweeps, the count the benchmark's ``inference.popdyn_sweep_ms`` divides by.
 One JSON line per command goes to stdout, followed by a table on stderr.
 The instance files live in a temporary directory that is removed at the end.
 """
@@ -26,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALPHA, EPSILON, SEED = 8.0, 0.25, 1
+POP_SIZE = 10_000
 METHODS = ("NB", "BH", "BP")
 
 
@@ -58,7 +62,12 @@ def run(argv) -> dict:
     proc = subprocess.run([sys.executable, __file__, "--child", *argv], env=env,
                           capture_output=True, text=True, check=True)
     costs = json.loads(proc.stderr.strip().splitlines()[-1])
-    iterations = json.loads(proc.stdout.splitlines()[-1])["iterations"] if argv[0] == "detect" else None
+    iterations = None
+    if argv[0] == "detect":
+        iterations = json.loads(proc.stdout.splitlines()[-1])["iterations"]
+    elif argv[0] == "popdyn":
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        iterations = doc["equilibration_sweeps"] + doc["measurement_sweeps"]
     per_iter = 1e3 * costs["cpu_s"] / iterations if iterations else None
     return {**costs, "iterations": iterations, "ms_per_iteration": per_iter}
 
@@ -84,12 +93,18 @@ def main() -> int:
                 row = {"n": n, "command": name, **run(argv)}
                 rows.append(row)
                 print(json.dumps(row), flush=True)
+    popdyn = ["popdyn", "--alpha", str(ALPHA), "--epsilon", str(EPSILON), "--pop-size", str(POP_SIZE),
+              "--seed", str(SEED)]
+    row = {"n": None, "command": "popdyn", **run(popdyn)}
+    rows.append(row)
+    print(json.dumps(row), flush=True)
     print(f"{'n':>8} {'command':<10} {'exit':>4} {'cpu_s':>8} {'iters':>6} {'ms/iter':>8} {'import_mb':>9} "
           f"{'peak_mb':>8}", file=sys.stderr)
     for r in rows:
         iters = "" if r["iterations"] is None else r["iterations"]
         per_iter = "" if r["ms_per_iteration"] is None else f"{r['ms_per_iteration']:.2f}"
-        print(f"{r['n']:>8} {r['command']:<10} {r['exit']:>4} {r['cpu_s']:>8.2f} {iters:>6} {per_iter:>8} "
+        n = "-" if r["n"] is None else r["n"]
+        print(f"{n:>8} {r['command']:<10} {r['exit']:>4} {r['cpu_s']:>8.2f} {iters:>6} {per_iter:>8} "
               f"{r['import_mb']:>9.1f} {r['peak_mb']:>8.1f}", file=sys.stderr)
     return 0
 

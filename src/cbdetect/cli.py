@@ -4,8 +4,9 @@ Subcommands: ``gen`` (instance files), ``detect`` (one method, one
 instance, JSON on stdout), ``sweep`` (overlap vs alpha CSV), ``spectrum``
 (dense eigenvalues as CSV and optional SVG scatter), ``popdyn``
 (asymptotic BP overlap).  Exit codes: 0 success, 2 typed detection
-failure (below threshold), 1 fault (bad input, I/O error, or a solver
-fault such as scipy's ``ArpackNoConvergence``).
+failure (below threshold), 1 fault: a usage error, or a ``ValueError``,
+``OSError``, ``KeyError`` or ``RuntimeError`` from the command (bad input,
+a malformed instance file, an I/O error).
 """
 
 from __future__ import annotations

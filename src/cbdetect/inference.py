@@ -266,15 +266,26 @@ def _popdyn_draw(rng, pop, alpha, t_beta, flip_prob):
     """A fresh population, each member tanh of a sum of d ~ Poisson(alpha) terms.
 
     Serves both the message sweep and the marginal samples: the excess
-    degree of the Poisson(alpha) limit is again Poisson(alpha).
+    degree of the Poisson(alpha) limit is again Poisson(alpha).  A term is
+    atanh(+-t_beta * parent); (-t)*p rounds as -(t*p) and atanh is odd, so
+    it is read from the table [u, -u], u = atanh(t_beta * pop), computed
+    once per member.  The degrees come from one total T ~ Poisson(alpha *
+    count) split by a uniform row per term, which makes them i.i.d.
+    Poisson(alpha).  Generator calls, in order: the total, the parents,
+    the flips, the rows (docs/decisions.md).
     """
     count = len(pop)
-    d = rng.poisson(alpha, size=count)
-    total = int(d.sum())
-    parents = pop[rng.integers(0, count, size=total)]
-    coupling = np.where(rng.random(total) < flip_prob, -t_beta, t_beta)
-    terms = np.arctanh(np.clip(coupling * parents, -_ATANH_CLIP, _ATANH_CLIP))
-    rows = np.repeat(np.arange(count), d)
+    total = int(rng.poisson(alpha * count))
+    idx = rng.integers(0, count, size=total)
+    idx += (rng.random(total) < flip_prob) * count  # a flipped coupling reads -u
+    table = np.empty(2 * count)
+    u = np.multiply(pop, t_beta, out=table[:count])
+    np.clip(u, -_ATANH_CLIP, _ATANH_CLIP, out=u)
+    np.arctanh(u, out=u)
+    np.negative(u, out=table[count:])
+    terms = table.take(idx)
+    del idx
+    rows = rng.integers(0, count, size=total)
     return np.tanh(np.bincount(rows, weights=terms, minlength=count))
 
 

@@ -98,7 +98,7 @@ class CbmInstance:
         n = self.params.n
         if sigma.shape != (n,):
             raise ValueError(f"sigma must have shape ({n},), got {sigma.shape}")
-        if not np.all(np.abs(sigma) == 1):
+        if not np.all((sigma == 1) | (sigma == -1)):
             raise ValueError("sigma entries must be +1 or -1")
         if edges.size:
             i, j, w = edges[:, 0], edges[:, 1], edges[:, 2]
@@ -106,18 +106,22 @@ class CbmInstance:
                 raise ValueError("edge endpoint out of range")
             if np.any(i >= j):
                 raise ValueError("edges must satisfy i < j (no self-loops)")
-            if not np.all(np.abs(w) == 1):
+            if not np.all((w == 1) | (w == -1)):
                 raise ValueError("edge weights must be +1 or -1")
-            di, dj = np.diff(i), np.diff(j)
-            if np.all((di > 0) | ((di == 0) & (dj > 0))):
+            # with 0 <= i < j < n, key = i*n + j orders the edges by (i, j) and
+            # is equal exactly for duplicate edges (no overflow below n = 3*10^9)
+            key = i * n
+            key += j
+            if np.all(key[1:] > key[:-1]):
                 # already sorted and unique, as generated and written; the copy
                 # keeps the caller's array from aliasing the instance
+                del key
                 edges = edges.copy()
             else:
-                edges = edges[np.lexsort((j, i))]
-                dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-                if np.any(dup):
+                order = np.argsort(key)
+                if np.any(np.diff(key[order]) == 0):
                     raise ValueError("duplicate edge")
+                edges = edges[order]
         sigma.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)

@@ -1,6 +1,7 @@
 """Test-only oracles: the explicit non-backtracking operator B, the B <-> B' relations,
-the BP sweep on interleaved directed-edge ordinals, and the instance writer and
-pair sampler as they were before they worked in place.
+the BP sweep on interleaved directed-edge ordinals, the instance writer and
+pair sampler as they were before they worked in place, and the
+population-dynamics draw as it was before it read its terms from a table.
 
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
@@ -9,7 +10,9 @@ it ran before ``bp_fixed_point`` stored the directed edges in halves; the
 BP tests compare the two bit for bit.  ``write_reference`` formats every
 edge line with ``"%d %d %d\n"`` and ``sample_pair_indices_reference``
 concatenates fresh per-block temporaries; the model tests compare file
-bytes and pair indices against them.
+bytes and pair indices against them.  ``popdyn_draw_reference`` draws one
+Poisson degree per member and computes every term's arctanh; the inference
+tests compare its estimates with the package's.
 """
 
 import math
@@ -142,6 +145,18 @@ def bp_reference(
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
     return state, marginals
+
+
+def popdyn_draw_reference(rng, pop, alpha, t_beta, flip_prob):
+    """``inference._popdyn_draw`` with N Poisson(alpha) degrees, ``np.repeat`` and one arctanh per term."""
+    count = len(pop)
+    d = rng.poisson(alpha, size=count)
+    total = int(d.sum())
+    parents = pop[rng.integers(0, count, size=total)]
+    coupling = np.where(rng.random(total) < flip_prob, -t_beta, t_beta)
+    terms = np.arctanh(np.clip(coupling * parents, -_ATANH_CLIP, _ATANH_CLIP))
+    rows = np.repeat(np.arange(count), d)
+    return np.tanh(np.bincount(rows, weights=terms, minlength=count))
 
 
 def write_reference(instance: CbmInstance, path) -> None:

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,42 @@ class TestSweep:
         assert alphas == ["2.0", "3.0", "4.0"]
 
 
+class TestBlasThreads:
+    """The same bytes at one and at two BLAS threads while every vector stays below 10^4 entries.
+
+    Each command runs in a child process whose environment alone sets
+    OPENBLAS_NUM_THREADS; the contract is in docs/decisions.md.
+    """
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def run_child(self, threads, argv):
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "cbdetect", *argv], env=env, capture_output=True, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_sweep_csv(self, tmp_path):
+        args = ["sweep", "--n", "600", "--epsilon", "0.25", "--alpha", "3,4.5,8", "--trials", "2",
+                "--methods", "NB,BH,BP", "--seed", "3"]
+        csv = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            assert self.run_child(threads, [*args, "--out", str(out)])[0] == EXIT_OK
+            csv[threads] = out.read_bytes()
+        assert csv[1] == csv[2]
+
+    @pytest.mark.parametrize("alpha,seed", [(8, 21), (4.5, 2), (3, 11)])
+    @pytest.mark.parametrize("method", ["NB", "BH"])
+    def test_detect_line(self, tmp_path, alpha, seed, method):
+        path = tmp_path / "x.cbm"
+        write_instance(generate(CbmParams(n=2000, alpha=alpha, epsilon=0.25, seed=seed)), path)
+        argv = ["detect", "--in", str(path), "--methods", method]
+        one, two = self.run_child(1, argv), self.run_child(2, argv)
+        assert one[0] in (EXIT_OK, EXIT_DETECTION_FAILED) and one[1]
+        assert one == two
+
+
 class TestSpectrum:
     def test_triangle_file_matches_known_multiset(self, capsys, tmp_path, triangle_file):
         out = tmp_path / "s.csv"
@@ -302,6 +340,16 @@ class TestExitCodeMatrix:
         assert code == EXIT_FAULT
         assert out == ""
         assert err == "error: ARPACK error -1: No convergence\n"
+
+    @pytest.mark.parametrize("exc", [ValueError, OSError, KeyError])  # RuntimeError: the test above
+    def test_documented_faults_exit_one(self, capsys, monkeypatch, above_file, exc):
+        def fault(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "detect", fault)
+        code, out, err = run_cli(capsys, "detect", "--in", above_file, "--methods", "NB")
+        assert (code, out) == (EXIT_FAULT, "")
+        assert err.startswith("error: ") and "boom" in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_FAULT

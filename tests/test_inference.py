@@ -30,7 +30,7 @@ from cbdetect import (
 from cbdetect import cli, inference
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
-from oracles import bp_reference
+from oracles import bp_reference, popdyn_draw_reference
 
 
 def gauge_flip(instance, flip_seed=99):
@@ -315,6 +315,72 @@ class TestPopulationDynamics:
             population_dynamics(PopDynConfig(alpha=5, epsilon=0.0))
         with pytest.raises(ValueError):
             population_dynamics(PopDynConfig(alpha=5, epsilon=0.5))
+
+
+class TestPopulationDynamicsDraw:
+    """``_popdyn_draw`` against the draw it replaced (``popdyn_draw_reference``).
+
+    Step 1, one arctanh per member read from the table [u, -u], is exact:
+    it is compared bit for bit with a draw that makes the same generator
+    calls and computes every term as before.  Step 2, one Poisson total
+    split by uniform rows, keeps the law of the degrees but not the stream,
+    so it is checked on the degrees' moments and on the estimates.
+    """
+
+    @staticmethod
+    def draw_per_term(rng, pop, alpha, t_beta, flip_prob):
+        """The package's generator calls, with arctanh(clip(where(flip, -t, t) * parent)) per term."""
+        count = len(pop)
+        total = int(rng.poisson(alpha * count))
+        parents = rng.integers(0, count, size=total)
+        flipped = rng.random(total) < flip_prob
+        rows = rng.integers(0, count, size=total)
+        coupling = np.where(flipped, -t_beta, t_beta)
+        terms = np.arctanh(np.clip(coupling * pop[parents], -inference._ATANH_CLIP, inference._ATANH_CLIP))
+        return np.tanh(np.bincount(rows, weights=terms, minlength=count))
+
+    # t_beta below the clip, then 1 - 1e-13 (beta0 at epsilon = 5e-14) and 1.0, where it binds
+    @pytest.mark.parametrize("t_beta", [0.2, 0.5, math.tanh(beta0(0.1)), 1.0 - 1e-13, 1.0])
+    def test_signed_table_is_bitwise_per_term_arctanh(self, t_beta):
+        gen = substream(5, "popdyn-table")
+        pop = gen.uniform(-1.0, 1.0, size=3000)
+        pop[:300] = np.sign(pop[:300])  # saturated members drive t*p past the clip
+        pop[300:310] = 0.0
+        for alpha, flip in ((0.5, 0.25), (4.0, 0.1), (8.0, 0.5), (3.0, 0.0)):
+            got = inference._popdyn_draw(substream(6, "draw", int(alpha)), pop, alpha, t_beta, flip)
+            want = self.draw_per_term(substream(6, "draw", int(alpha)), pop, alpha, t_beta, flip)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.7, 3.0, 8.0])
+    def test_row_counts_are_iid_poisson(self, alpha):
+        # with every parent +1 and no flip each term is c = atanh(tanh(c)),
+        # so a member's degree is atanh(member) / c
+        count, c = 100_000, 2.0**-6
+        out = inference._popdyn_draw(substream(7, "degrees"), np.ones(count), alpha, math.tanh(c), 0.0)
+        d = np.rint(np.arctanh(out) / c)
+        assert np.abs(np.arctanh(out) / c - d).max() < 1e-6
+        se_mean = math.sqrt(alpha / count)
+        se_var = math.sqrt((alpha + 2.0 * alpha**2) / count)  # Poisson: 4th central moment alpha(1+3alpha)
+        assert abs(d.mean() - alpha) < 5 * se_mean
+        assert abs(d.var(ddof=1) - alpha) < 5 * se_var
+        p0 = math.exp(-alpha)
+        assert abs(np.mean(d == 0) - p0) < 5 * math.sqrt(p0 * (1 - p0) / count)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.5, 5.0, 8.0])
+    def test_estimates_agree_with_reference_draw(self, monkeypatch, alpha):
+        def estimates():
+            return np.array([
+                population_dynamics(PopDynConfig(
+                    alpha=alpha, epsilon=0.25, pop_size=2000, equilibration_sweeps=100,
+                    measurement_sweeps=100, seed=derive_seed(14, "popdyn-law", int(10 * alpha), k)))
+                for k in range(16)
+            ])
+
+        new = estimates()
+        monkeypatch.setattr(inference, "_popdyn_draw", popdyn_draw_reference)
+        ref = estimates()
+        se = math.sqrt(new.var(ddof=1) / len(new) + ref.var(ddof=1) / len(ref))
+        assert abs(new.mean() - ref.mean()) < 3 * se
 
 
 class TestDetect:

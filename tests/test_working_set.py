@@ -8,22 +8,30 @@ measured peaks at n = 2*10^4, alpha = 8 are about 4.9 units for
 ``build_bethe_hessian`` with ``is_symmetric``; the previous allocation
 pattern took 12.1, 7.0 and 7.4 units, and 5.0 for ``is_symmetric`` alone.
 BP took 5.9 units while its sweeps ran on the interleaved directed-edge
-ordinals and kept the edge index alive.  ``generate`` takes about 4.2
-units (the (m, 3) edge array, the checks and the copy in ``CbmInstance``),
-``write_instance`` 2.3 (one chunk of fixed-width lines, its mask and the
+ordinals and kept the edge index alive.  ``generate`` takes about 3.75
+units, of which ``CbmInstance``'s checks and defensive copy take 1.5 (the
+copy and, before it, one m-long sort key); they took 4.2 and 2.5 while the
+checks diffed both endpoint columns and built masks from them.
+``write_instance`` takes 2.3 (one chunk of fixed-width lines, its mask and the
 squeezed bytes) and ``gershgorin_upper`` 2.5; when generation concatenated
 fresh temporaries and stacked the columns, the writer formatted Python ints
 and the Gershgorin bound gathered the off-diagonal entries, they took 6.6,
 6.2 and 4.4.
+
+One population-dynamics draw is measured in units of one float64 array per
+term (alpha * N of them): about 2.5 units, against 4.4 when every term had
+its own coupling, product and arctanh and the degrees were repeated rows.
 """
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cbdetect import (
     BpConfig,
+    CbmInstance,
     CbmParams,
     beta0,
     bp_fixed_point,
@@ -34,6 +42,8 @@ from cbdetect import (
     write_instance,
 )
 from cbdetect.eigen import gershgorin_upper
+from cbdetect.inference import _popdyn_draw
+from cbdetect.rng import substream
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +51,19 @@ def inst():
     return generate(CbmParams(n=20_000, alpha=8, epsilon=0.25, seed=3))
 
 
-def peak_units(inst, fn) -> float:
-    """Peak traced bytes while fn runs, divided by 2m * 8."""
+def peak_bytes(fn) -> int:
+    """Peak traced bytes while fn runs."""
     tracemalloc.start()
     try:
         fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (2 * inst.m * 8)
+
+
+def peak_units(inst, fn) -> float:
+    """Peak traced bytes while fn runs, divided by 2m * 8."""
+    return peak_bytes(fn) / (2 * inst.m * 8)
 
 
 def test_bp_sweeps_run_in_reused_buffers(inst):
@@ -68,7 +82,12 @@ def test_bethe_hessian_assembly_and_symmetry_check(inst):
 
 
 def test_generation_builds_the_edge_array_in_place(inst):
-    assert peak_units(inst, lambda: generate(inst.params)) < 5.5
+    assert peak_units(inst, lambda: generate(inst.params)) < 4.0
+
+
+def test_instance_checks_allocate_one_key_then_the_copy(inst):
+    sigma, edges = np.array(inst.sigma), np.array(inst.edges)
+    assert peak_units(inst, lambda: CbmInstance(inst.params, sigma, edges)) < 2.0
 
 
 def test_instance_writer_holds_one_chunk(inst, tmp_path):
@@ -78,3 +97,11 @@ def test_instance_writer_holds_one_chunk(inst, tmp_path):
 def test_gershgorin_bound_without_gathered_copies(inst):
     h = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
     assert peak_units(inst, lambda: gershgorin_upper(h)) < 3.0
+
+
+def test_popdyn_draw_reads_terms_from_a_table():
+    count, alpha = 10_000, 8.0
+    pop = substream(1, "popdyn-pop").uniform(-1.0, 1.0, size=count)
+    t_beta = math.tanh(beta0(0.25))
+    peak = peak_bytes(lambda: _popdyn_draw(substream(2, "popdyn-draw"), pop, alpha, t_beta, 0.25))
+    assert peak / (alpha * count * 8) < 3.0
