@@ -34,7 +34,7 @@ from .rng import substream
 METHODS = ("NB", "BH", "BP")
 
 _ATANH_CLIP = 1.0 - 1e-12  # keep tanh/atanh compositions finite at saturated messages
-BP_DAMPING = 0.5  # weight of the previous message in each BP update
+BP_DAMPING = 0.25  # weight of the previous message in each BP update (docs/decisions.md, "BP damping 0.25")
 BP_TOL = 1e-6  # BP has converged once no message moves by this much in a sweep
 
 
@@ -52,6 +52,7 @@ class DetectionOutcome:
     iterations: int = 0
     residual: float | None = None
     reason: str | None = None
+    converged: bool = False  # the solver met its tolerance; not part of the JSON line
 
     def to_json(self) -> str:
         return json.dumps(
@@ -130,6 +131,7 @@ def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
             success=False,
             seed=seed,
             iterations=res.iterations,
+            converged=False,
             reason=f"no real leading eigenvalue ({res.reason}; |lambda| ~ {res.magnitude:.4g})",
         )
     threshold = math.sqrt(empirical_alpha(instance))
@@ -140,6 +142,7 @@ def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
         lambda1=res.value,
         iterations=res.iterations,
         residual=res.residual,
+        converged=res.converged,
     )
     if out.success:
         out.labels = sign_pm1(res.vector[instance.n :])
@@ -160,6 +163,7 @@ def algorithm2(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
         lambda_min_h=res.value,
         iterations=res.iterations,
         residual=res.residual,
+        converged=res.converged,
     )
     if out.success:
         out.labels = sign_pm1(res.vector)
@@ -243,7 +247,7 @@ def bp_run(
     """Belief propagation at the coupling implied by the assumed noise level.
 
     Always returns labels (success is unconditional); convergence is
-    reported through the iteration count and final message delta.
+    reported through ``converged``, the sweep count and the final message delta.
     """
     if not 0.0 < epsilon_assumed < 0.5:
         raise ValueError(
@@ -257,6 +261,7 @@ def bp_run(
         labels=sign_pm1(marginals),
         iterations=state.sweeps,
         residual=state.max_delta[-1],
+        converged=state.converged,
         reason=None if state.converged else "message passing did not converge",
     )
     return _fill_overlap(out, instance)

@@ -7,12 +7,14 @@ No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
 acceptance tests compare B' against.  ``bp_reference`` is the BP sweep as
 it ran before ``bp_fixed_point`` stored the directed edges in halves; the
-BP tests compare the two bit for bit.  ``write_reference`` formats every
-edge line with ``"%d %d %d\n"`` and ``sample_pair_indices_reference``
-concatenates fresh per-block temporaries; the model tests compare file
-bytes and pair indices against them.  ``popdyn_draw_reference`` draws one
-Poisson degree per member and computes every term's arctanh; the inference
-tests compare its estimates with the package's.
+BP tests compare the two bit for bit, and run it at the damping 0.5 that
+``BP_DAMPING`` had before to compare convergence.  ``write_reference``
+formats every edge line with ``"%d %d %d\n"`` and
+``sample_pair_indices_reference`` concatenates fresh per-block temporaries;
+the model tests compare file bytes and pair indices against them.
+``popdyn_draw_reference`` draws one Poisson degree per member and computes
+every term's arctanh; the inference tests compare its estimates with the
+package's.
 """
 
 import math
@@ -102,8 +104,13 @@ def bp_reference(
     beta: float,
     cfg: BpConfig | None = None,
     initial: np.ndarray | None = None,
+    damping: float = BP_DAMPING,
 ) -> tuple[BpState, np.ndarray]:
-    """``bp_fixed_point`` run on the ordinals of ``DirectedEdgeIndex``, reversal k <-> k ^ 1."""
+    """``bp_fixed_point`` run on the ordinals of ``DirectedEdgeIndex``, reversal k <-> k ^ 1.
+
+    ``damping`` is the weight of the previous message, the package's
+    ``BP_DAMPING`` unless given.
+    """
     _require_edges(instance)
     cfg = cfg or BpConfig()
     index = DirectedEdgeIndex.from_instance(instance)
@@ -131,8 +138,8 @@ def bp_reference(
         np.take(site, heads, out=work, mode="clip")
         np.subtract(work, contrib, out=work)
         fresh = np.tanh(work.reshape(-1, 2)[:, ::-1], out=contrib.reshape(-1, 2)).reshape(-1)
-        fresh *= 1.0 - BP_DAMPING
-        np.multiply(msgs, BP_DAMPING, out=work)
+        fresh *= 1.0 - damping
+        np.multiply(msgs, damping, out=work)
         new = np.add(fresh, work, out=work)
         np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
         delta = float(np.max(contrib))

@@ -13,8 +13,10 @@ from cbdetect import (
     CbmParams,
     Labeling,
     PopDynConfig,
+    SolverConfig,
     algorithm1,
     algorithm2,
+    alpha_detect,
     beta0,
     bp_fixed_point,
     bp_run,
@@ -208,17 +210,68 @@ class TestBpMatchesReference:
         assert np.max(np.abs(np.tanh(beta0(1e-14)) * state.messages)) > inference._ATANH_CLIP
 
 
+class TestBpDamping:
+    """``BP_DAMPING`` 0.25 against the 0.5 it replaced, above the threshold (docs/decisions.md, "BP damping 0.25")."""
+
+    @pytest.mark.parametrize("ratio", [1.25, 2.0])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.35])
+    def test_fewer_sweeps_same_overlap(self, epsilon, ratio):
+        ref_converged = 0
+        for k in range(3):
+            seed = derive_seed(0, "bp-regime", round(1000 * epsilon), round(1000 * ratio), k)
+            inst = generate(CbmParams(n=2000, alpha=ratio * alpha_detect(epsilon), epsilon=epsilon, seed=seed))
+            ref, ref_marginals = bp_reference(inst, beta0(epsilon), damping=0.5)
+            if not ref.converged:
+                continue
+            ref_converged += 1
+            out = bp_run(inst, epsilon)
+            assert out.converged, (seed, ref.sweeps)
+            assert out.iterations <= 0.85 * ref.sweeps, (seed, out.iterations, ref.sweeps)
+            assert abs(out.overlap - overlap(Labeling(inst.sigma), Labeling(sign_pm1(ref_marginals)))) <= 0.002, seed
+        assert ref_converged >= 2  # the comparison is not vacuous
+
+
+class TestConverged:
+    """``DetectionOutcome.converged`` for each method, converged and capped, kept out of the JSON line."""
+
+    @staticmethod
+    def instance(alpha, seed):
+        return generate(CbmParams(n=2000, alpha=alpha, epsilon=0.25, seed=seed))
+
+    def test_bp(self):
+        inst = self.instance(6, 13)
+        assert bp_run(inst, 0.25).converged
+        capped = bp_run(inst, 0.25, BpConfig(max_sweeps=3))
+        assert not capped.converged and capped.iterations == 3 and capped.reason
+
+    def test_bh(self):
+        inst = self.instance(8, 33)
+        assert algorithm2(inst).converged
+        capped = algorithm2(inst, SolverConfig(max_iter=5))
+        assert not capped.converged and capped.iterations == 5
+
+    def test_nb(self):
+        assert algorithm1(self.instance(8, 33)).converged
+        stalled = algorithm1(self.instance(4.5, 32))  # a NoRealLeader instance (TestSpectralGolden)
+        assert not stalled.converged and not stalled.success and stalled.lambda1 is None
+
+    def test_not_in_json_line(self):
+        out = bp_run(self.instance(6, 13), 0.25, BpConfig(max_sweeps=3))
+        assert "converged" not in json.loads(out.to_json())
+
+
 class TestBpGolden:
     """BP messages, marginals and sweep deltas are pinned bit for bit."""
 
     # blake2b-128 of messages, marginals and max_delta on
     # generate(CbmParams(n=2000, alpha=6, epsilon=0.25, seed=13)) at beta0(0.25)
-    CONVERGED = (155, "b8cccfb85116a2fe86914e827ceeed8e", "dbd0f750561c989e54ad08a194eb8936",
-                 "3fecd871dcbb7855b35451c97ce7ce0e")
-    CAPPED = (7, "e959b6b184ec45e611c1fa6858ed2502", "e2cdf1ba6a30037e3d4dead66188be98",
-              "cad7cf7833109dbfb1057dd3a27335fb")
+    # recorded at BP_DAMPING = 0.25
+    CONVERGED = (111, "4cc65267fe775527f85b860d6a0ade7e", "e49f9e598e47f29228d7b22126f4e566",
+                 "b8221ba833ba0a3eae9ad9ba7be3595f")
+    CAPPED = (7, "abc7a356fae183597a4082a839665b9e", "2fedd8eb5e384d028e4c3632d9861e5a",
+              "61b8988e64eef6c1d667cec9ef157f7f")
     JSON = ('{"method": "BP", "success": true, "lambda1": null, "lambda_min_H": null, '
-            '"overlap": 0.5449999999999999, "iterations": 155, "residual": 9.795623776009954e-07, '
+            '"overlap": 0.5449999999999999, "iterations": 111, "residual": 8.729112807720485e-07, '
             '"seed": 13}')
 
     @staticmethod
