@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import NoRealLeader, SolverConfig, power_leading, smallest_symmetric
-from .model import CbmInstance, Labeling, beta0, empirical_alpha, overlap, sign_pm1
+from .model import CbmInstance, beta0, empirical_alpha, overlap, sign_pm1
 from .operators import DirectedEdgeIndex, build_bethe_hessian, build_bprime
 from .rng import substream
 
@@ -81,10 +81,9 @@ class BpConfig:
 
 @dataclass
 class BpState:
-    """Messages live on directed edges as magnetizations in [-1, 1]."""
+    """Messages live on the directed edges, in halves, as magnetizations in [-1, 1]."""
 
     messages: np.ndarray
-    beta0: float
     sweeps: int = 0
     max_delta: list = field(default_factory=list)
     converged: bool = False
@@ -116,7 +115,7 @@ def _require_edges(instance: CbmInstance) -> None:
 
 def _fill_overlap(outcome: DetectionOutcome, instance: CbmInstance) -> DetectionOutcome:
     if outcome.success and outcome.labels is not None:
-        outcome.overlap = overlap(Labeling(instance.sigma), Labeling(outcome.labels))
+        outcome.overlap = overlap(instance.sigma, outcome.labels)
     return outcome
 
 
@@ -182,30 +181,30 @@ def bp_fixed_point(
 
     Message update on directed edge i->j:
     m_{i->j} <- tanh( sum_{k in d(i) \\ j} atanh( tanh(beta*J_ki) * m_{k->i} ) ).
-    The all-zero message set is the exact uninformative fixed point;
-    ``initial`` overrides the default small random start.
+    Messages, ``initial`` and ``BpState.messages`` alike, sit on the
+    directed edges in halves (``DirectedEdgeIndex``): position e < m is
+    edge e as i->j, e + m its reversal j->i.  The all-zero message set is
+    the exact uninformative fixed point; ``initial`` overrides the default
+    small random start.
     """
     _require_edges(instance)
     cfg = cfg or BpConfig()
-    index = DirectedEdgeIndex.from_instance(instance)
-    n, m, count = instance.n, instance.m, index.count
-    t = np.tanh(beta)
+    n, m = instance.n, instance.m
+    count = 2 * m
     if initial is not None:
-        draw = np.array(initial, dtype=np.float64)
-        if draw.shape != (count,):
+        msgs = np.array(initial, dtype=np.float64)
+        if msgs.shape != (count,):
             raise ValueError(f"initial messages must have shape ({count},)")
     else:
-        draw = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=count)
+        # one row of draws per edge, (i->j, j->i), transposed into the halves
+        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=(m, 2)).T.reshape(-1)
 
-    # The sweeps store the directed edges in halves: k < m is edge k as i->j,
-    # k + m its reversal j->i, so reversing swaps two contiguous halves.  With
-    # the edges sorted by (i, j), bincount meets each node's terms in the same
-    # order as over the ordinals 2e, 2e+1, so every sum rounds as it did
-    # there (docs/decisions.md).  heads is intp once: bincount and take cast
+    # Reversing swaps the two contiguous halves.  With the edges sorted by
+    # (i, j), bincount meets each node's terms in edge order, i->v terms
+    # first (docs/decisions.md).  heads is intp once: bincount and take cast
     # any other dtype per call.
-    heads = index.heads.reshape(m, 2).T.astype(np.intp, order="C").reshape(-1)
-    tw = index.weights[0::2] * t  # tanh(beta*J) with J = +-1: (J*t)*m rounds exactly as (J*m)*t
-    del index
+    heads = DirectedEdgeIndex.from_instance(instance).heads.astype(np.intp, copy=False)
+    tw = instance.edges[:, 2] * np.tanh(beta)  # tanh(beta*J) with J = +-1: (J*t)*m rounds exactly as (J*m)*t
 
     def contributions(msgs, out):
         np.multiply(msgs.reshape(2, m), tw, out=out.reshape(2, m))
@@ -213,10 +212,8 @@ def bp_fixed_point(
         return np.arctanh(out, out=out)
 
     # every sweep runs in three 2m buffers: msgs, contrib and work
-    msgs = np.empty(count)
-    msgs.reshape(2, m)[...] = draw.reshape(m, 2).T
-    work = draw  # the interleaved start is not read again
     contrib = np.empty(count)
+    work = np.empty(count)
     deltas = []
     for _ in range(cfg.max_sweeps):
         site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
@@ -234,10 +231,7 @@ def bp_fixed_point(
         if deltas[-1] < BP_TOL:
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
-    # back to the ordinals of DirectedEdgeIndex, in the spare buffer
-    work.reshape(m, 2)[...] = msgs.reshape(2, m).T
-    state = BpState(messages=work, beta0=beta, sweeps=len(deltas), max_delta=deltas,
-                    converged=deltas[-1] < BP_TOL)
+    state = BpState(messages=msgs, sweeps=len(deltas), max_delta=deltas, converged=deltas[-1] < BP_TOL)
     return state, marginals
 
 

@@ -61,25 +61,6 @@ class CbmParams:
 
 
 @dataclass(frozen=True)
-class Labeling:
-    """A full assignment of {-1,+1} labels to the n nodes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("labeling must be a non-empty 1-d array")
-        if not np.all(np.abs(vals) == 1):
-            raise ValueError("labels must be +1 or -1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class CbmInstance:
     """One generated problem: planted signs plus censored edge list.
 
@@ -225,21 +206,20 @@ def generate(params: CbmParams) -> CbmInstance:
     return CbmInstance(params=params, sigma=sigma, edges=edges)
 
 
-def _label_array(labeling) -> np.ndarray:
-    if isinstance(labeling, Labeling):
-        return labeling.values
-    return Labeling(np.asarray(labeling)).values
-
-
 def overlap(truth, guess) -> float:
     """Flip-invariant agreement score in [0, 1].
 
+    Both labelings are non-empty 1-d arrays of +-1, read and not modified.
     With a = fraction of agreeing labels, returns 2*(max(a, 1-a) - 1/2):
     1 for perfect recovery up to a global sign flip, ~0 for a random
     guess.
     """
-    t = _label_array(truth)
-    g = _label_array(guess)
+    t, g = np.asarray(truth), np.asarray(guess)
+    for labels in (t, g):
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError("labeling must be a non-empty 1-d array")
+        if not np.all((labels == 1) | (labels == -1)):
+            raise ValueError("labels must be +1 or -1")
     if t.shape != g.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {g.shape}")
     agree = int(np.count_nonzero(t == g))

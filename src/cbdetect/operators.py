@@ -11,8 +11,8 @@ Two matrices drive the detection algorithms:
 
 Each is assembled from coordinate triples into one canonical
 ``SparseMatrix``, a ``scipy.sparse.csr_array`` (rows in order, columns
-sorted within a row).  ``DirectedEdgeIndex`` numbers the directed edges
-for BP.
+sorted within a row).  ``DirectedEdgeIndex`` holds the heads of the
+directed edges for BP, in halves: edge e as i->j at e, as j->i at e + m.
 
 Index arrays (CSR offsets and columns, assembly coordinates, directed-edge
 heads) are int32 while the dimension, the nnz and 2m are below 2**31, and
@@ -102,32 +102,22 @@ class SparseMatrix(scipy.sparse.csr_array):
 
 @dataclass(frozen=True)
 class DirectedEdgeIndex:
-    """Ordinals k in [0, 2m) for the directed edges i->j.
+    """Heads of the 2m directed edges, stored in halves.
 
-    Undirected edge e gets ordinals 2e (i->j with i<j) and 2e+1 (j->i),
-    so the reversal i->j <-> j->i is the bit flip k ^ 1 and the tail of k
-    is the head of k ^ 1; only the heads are stored.  Both orientations
-    carry the weight of the underlying edge.
+    Position e < m is undirected edge e as i->j (i < j), position e + m its
+    reversal j->i, so ``heads`` is [j, i] and the reversal of k is
+    (k + m) mod 2m.  Both orientations carry the edge's weight,
+    ``instance.edges[:, 2]``.
     """
 
     heads: np.ndarray
-    weights: np.ndarray
 
     @classmethod
     def from_instance(cls, instance: CbmInstance) -> "DirectedEdgeIndex":
-        i, j, w = instance.edges[:, 0], instance.edges[:, 1], instance.edges[:, 2]
-        m = instance.m
-        heads = np.empty(2 * m, dtype=index_dtype(instance.n, 2 * m))
-        weights = np.empty(2 * m, dtype=np.float64)
-        heads[0::2], heads[1::2] = j, i
-        weights[0::2] = weights[1::2] = w
-        for arr in (heads, weights):
-            arr.setflags(write=False)
-        return cls(heads=heads, weights=weights)
-
-    @property
-    def count(self) -> int:
-        return len(self.heads)
+        idx = index_dtype(instance.n, 2 * instance.m)
+        heads = np.concatenate((instance.edges[:, 1], instance.edges[:, 0]), dtype=idx)
+        heads.setflags(write=False)
+        return cls(heads=heads)
 
 
 def build_bprime(instance: CbmInstance) -> SparseMatrix:

@@ -5,10 +5,13 @@ population-dynamics draw as it was before it read its terms from a table.
 
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
-acceptance tests compare B' against.  ``bp_reference`` is the BP sweep as
-it ran before ``bp_fixed_point`` stored the directed edges in halves; the
-BP tests compare the two bit for bit, and run it at the damping 0.5 that
-``BP_DAMPING`` had before to compare convergence.  ``write_reference``
+acceptance tests compare B' against.  B is numbered like the package's
+directed edges, in halves (``DirectedEdgeIndex``).  ``bp_reference`` is the
+BP sweep as it ran on interleaved ordinals (2e for i->j, 2e + 1 for j->i)
+before ``bp_fixed_point`` stored the directed edges in halves; it converts
+its messages at its boundary, the BP tests compare the two bit for bit,
+and run it at the damping 0.5 that ``BP_DAMPING`` had before to compare
+convergence.  ``write_reference``
 formats every edge line with ``"%d %d %d\n"`` and
 ``sample_pair_indices_reference`` concatenates fresh per-block temporaries;
 the model tests compare file bytes and pair indices against them.
@@ -31,9 +34,19 @@ from cbdetect.rng import substream
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
 
 
+def reversal(count: int) -> np.ndarray:
+    """The reversal of each directed edge in halves: k <-> (k + m) mod 2m."""
+    return np.roll(np.arange(count), count // 2)
+
+
 def tails(index: DirectedEdgeIndex) -> np.ndarray:
-    """tails[k] == heads[k ^ 1], built afresh on each call."""
-    return index.heads.reshape(-1, 2)[:, ::-1].ravel()
+    """tails[k] == heads[reversal(k)], built afresh on each call."""
+    return index.heads[reversal(len(index.heads))]
+
+
+def edge_weights(instance: CbmInstance) -> np.ndarray:
+    """The weight of each directed edge in halves: edge e's weight at e and e + m."""
+    return np.tile(instance.edges[:, 2].astype(np.float64), 2)
 
 
 def build_b(instance: CbmInstance) -> SparseMatrix:
@@ -51,11 +64,12 @@ def build_b(instance: CbmInstance) -> SparseMatrix:
     deg = instance.degrees()
     fan = deg[index.heads]
     shift = (np.cumsum(deg) - deg)[index.heads] - (np.cumsum(fan) - fan)
-    rows = np.repeat(np.arange(index.count), fan)
+    count = len(index.heads)
+    rows = np.repeat(np.arange(count), fan)
     cols = by_tail[np.arange(len(rows)) + shift[rows]]
     keep = index.heads[cols] != tail[rows]  # simple graph: backtracks iff it returns to i
     rows, cols = rows[keep], cols[keep]
-    return SparseMatrix.from_coo(index.count, index.count, rows, cols, index.weights[cols])
+    return SparseMatrix.from_coo(count, count, rows, cols, edge_weights(instance)[cols])
 
 
 @dataclass(frozen=True)
@@ -89,10 +103,11 @@ def bprime_eigvec_relations_check(
     relation = np.max(np.abs(lam * v_top - (deg - 1) * v_bot)) / scale
 
     index = DirectedEdgeIndex.from_instance(instance)
-    edge_vec = (lam * v_bot[tails(index)] - index.weights * v_bot[index.heads]) / (lam * lam - 1.0)
+    weights = edge_weights(instance)
+    edge_vec = (lam * v_bot[tails(index)] - weights * v_bot[index.heads]) / (lam * lam - 1.0)
     # the site relations live in the gather-at-tail convention, which is the
     # edge reversal of the scatter-from-head operator built by build_b
-    edge_vec = edge_vec[np.arange(index.count) ^ 1]
+    edge_vec = edge_vec[reversal(len(edge_vec))]
     b = build_b(instance)
     resid = b.matvec(edge_vec) - lam * edge_vec
     b_resid = np.max(np.abs(resid)) / np.max(np.abs(edge_vec))
@@ -106,33 +121,36 @@ def bp_reference(
     initial: np.ndarray | None = None,
     damping: float = BP_DAMPING,
 ) -> tuple[BpState, np.ndarray]:
-    """``bp_fixed_point`` run on the ordinals of ``DirectedEdgeIndex``, reversal k <-> k ^ 1.
+    """``bp_fixed_point`` run on interleaved ordinals, reversal k <-> k ^ 1.
 
-    ``damping`` is the weight of the previous message, the package's
-    ``BP_DAMPING`` unless given.
+    Ordinal 2e is edge e as i->j, 2e + 1 its reversal.  ``initial`` and the
+    returned messages are in halves, as in ``bp_fixed_point``, and are
+    converted here.  ``damping`` is the weight of the previous message, the
+    package's ``BP_DAMPING`` unless given.
     """
     _require_edges(instance)
     cfg = cfg or BpConfig()
-    index = DirectedEdgeIndex.from_instance(instance)
-    n = instance.n
-    heads = index.heads.astype(np.intp, copy=False)
+    n, count = instance.n, 2 * instance.m
+    heads = instance.edges[:, [1, 0]].ravel().astype(np.intp)
+    weights = np.repeat(instance.edges[:, 2].astype(np.float64), 2)
     t = np.tanh(beta)
     if initial is not None:
         msgs = np.array(initial, dtype=np.float64)
-        if msgs.shape != (index.count,):
-            raise ValueError(f"initial messages must have shape ({index.count},)")
+        if msgs.shape != (count,):
+            raise ValueError(f"initial messages must have shape ({count},)")
+        msgs = msgs.reshape(2, -1).T.ravel()
     else:
-        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=index.count)
+        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=count)
 
     def contributions(m, out):
-        np.multiply(index.weights, m, out=out)
+        np.multiply(weights, m, out=out)
         out *= t
         np.clip(out, -_ATANH_CLIP, _ATANH_CLIP, out=out)
         return np.arctanh(out, out=out)
 
-    contrib = np.empty(index.count)
-    work = np.empty(index.count)
-    state = BpState(messages=msgs, beta0=beta)
+    contrib = np.empty(count)
+    work = np.empty(count)
+    state = BpState(messages=msgs)
     for sweep in range(1, cfg.max_sweeps + 1):
         site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
         np.take(site, heads, out=work, mode="clip")
@@ -144,13 +162,13 @@ def bp_reference(
         np.abs(np.subtract(new, msgs, out=contrib), out=contrib)
         delta = float(np.max(contrib))
         msgs, work = new, msgs
-        state.messages = msgs
         state.sweeps = sweep
         state.max_delta.append(delta)
         if delta < BP_TOL:
             state.converged = True
             break
     marginals = np.tanh(np.bincount(heads, weights=contributions(msgs, contrib), minlength=n))
+    state.messages = msgs.reshape(-1, 2).T.ravel()
     return state, marginals
 
 

@@ -52,6 +52,10 @@ def test_tracer_install_metrics_uninstall(monkeypatch, tmp_path, capsys):
     assert metrics["operators.bprime_nnz"]["value"] > 0
     assert metrics["operators.h_nnz"]["value"] > 0
     assert metrics["model.edges"]["value"] > 0
+    # operators.edge_index_s would read 0 without failing if BP stopped building its index
+    names = [s.name for s in tracer.spans]
+    edge_index = [s for s in tracer.spans if s.name == "operators.edge_index"]
+    assert edge_index and all(names[s.parent] == "inference.bp_fixed_point" for s in edge_index)
     assert {(owner, attr) for owner, attr, _ in patched} >= set(watched)
     for owner, attr, orig in patched:
         assert _current(owner, attr) is orig

@@ -14,7 +14,6 @@ from cbdetect import (
     CbmInstance,
     CbmParams,
     InstanceFormatError,
-    Labeling,
     alpha_detect,
     beta0,
     empirical_alpha,
@@ -195,9 +194,9 @@ class TestPairSampling:
 
 class TestOverlap:
     def test_identity_and_global_flip(self):
-        t = Labeling(np.array([1, 1, -1, -1]))
+        t = np.array([1, 1, -1, -1])
         assert overlap(t, t) == 1.0
-        assert overlap(t, Labeling(-t.values)) == 1.0
+        assert overlap(t, -t) == 1.0
 
     def test_direct_value(self):
         t = np.array([1, 1, -1, -1])
@@ -207,6 +206,26 @@ class TestOverlap:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             overlap(np.array([1, -1]), np.array([1, -1, 1]))
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([1, 0, -1]), "labels must be \\+1 or -1"),
+        (np.array([1, 2, -1]), "labels must be \\+1 or -1"),
+        (np.array([], dtype=np.int64), "non-empty 1-d"),
+        (np.array([[1, -1], [-1, 1]]), "non-empty 1-d"),
+    ])
+    def test_rejects_bad_labels(self, bad, match):
+        good = np.array([1, -1, 1])
+        with pytest.raises(ValueError, match=match):
+            overlap(bad, good)
+        with pytest.raises(ValueError, match=match):
+            overlap(good, bad)
+
+    def test_inputs_stay_writeable_and_unchanged(self):
+        t = np.array([1, 1, -1, -1], dtype=np.int64)
+        g = np.array([1, -1, -1, -1], dtype=np.int64)
+        overlap(t, g)
+        assert t.flags.writeable and g.flags.writeable
+        assert t.tolist() == [1, 1, -1, -1] and g.tolist() == [1, -1, -1, -1]
 
     def test_random_guess_vanishes(self):
         n = 100_000
