@@ -1,4 +1,4 @@
-"""Time and peak memory of ``cbdetect gen`` and ``detect`` NB/BH/BP as n grows, and of ``popdyn``.
+"""Time and peak memory of ``cbdetect gen``, reading the file, ``detect`` NB/BH/BP as n grows, and ``popdyn``.
 
     python3 scripts/scale_series.py                    # n = 10^4 and 10^5
     python3 scripts/scale_series.py --n 10000,100000,1000000
@@ -8,6 +8,8 @@ epsilon = 0.25, so each peak belongs to that command alone.  Each child fixes
 glibc's malloc thresholds as ``perfbench/run.py`` does, imports cbdetect
 from this checkout's ``src/``, runs ``cli.main`` and reports its own CPU
 seconds for the command, its ``ru_maxrss`` after the imports and at the end.
+The ``read`` row is ``model.read_instance`` on the ``gen`` file alone, the
+first step of every ``detect``.
 For ``detect`` the ``iterations`` of its JSON line (power iterations for NB
 and BH, sweeps for BP) are reported too, with the command's CPU
 milliseconds per iteration; for BP that is the cost of one sweep plus its
@@ -47,11 +49,15 @@ def child(argv) -> None:
     except (OSError, AttributeError):
         pass
     sys.path.insert(0, str(ROOT / "src"))
-    from cbdetect import cli
+    from cbdetect import cli, model
 
     import_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     t = time.process_time()
-    code = cli.main(argv)
+    if argv[0] == "read":
+        model.read_instance(argv[1])
+        code = 0
+    else:
+        code = cli.main(argv)
     cpu_s = time.process_time() - t
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({"exit": code, "cpu_s": cpu_s, "import_mb": import_mb, "peak_mb": peak_mb}), file=sys.stderr)
@@ -85,7 +91,7 @@ def main() -> int:
             path = str(Path(tmp) / f"n{n}.cbm")
             gen = ["gen", "--n", str(n), "--alpha", str(ALPHA), "--epsilon", str(EPSILON),
                    "--seed", str(SEED), "--out", path]
-            commands = [("gen", gen)] + [
+            commands = [("gen", gen), ("read", ["read", path])] + [
                 (f"detect {m}", ["detect", "--in", path, "--methods", m, "--epsilon", str(EPSILON)])
                 for m in METHODS
             ]

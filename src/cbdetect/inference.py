@@ -204,7 +204,8 @@ def bp_fixed_point(
     # first (docs/decisions.md).  heads is intp once: bincount and take cast
     # any other dtype per call.
     heads = DirectedEdgeIndex.from_instance(instance).heads.astype(np.intp, copy=False)
-    tw = instance.edges[:, 2] * np.tanh(beta)  # tanh(beta*J) with J = +-1: (J*t)*m rounds exactly as (J*m)*t
+    # tanh(beta*J) with J = +-1: (J*t)*m rounds exactly as (J*m)*t
+    tw = np.multiply(instance.edges[:, 2], np.tanh(beta), dtype=np.float64)
 
     def contributions(msgs, out):
         np.multiply(msgs.reshape(2, m), tw, out=out.reshape(2, m))

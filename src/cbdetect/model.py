@@ -31,9 +31,20 @@ class InstanceFormatError(ValueError):
     """An instance file violates the on-disk format."""
 
 
+def index_dtype(*sizes: int) -> type:
+    """int32 while every size is below 2**31, else int64 (docs/decisions.md)."""
+    return np.int32 if max(sizes, default=0) < 2**31 else np.int64
+
+
 def sign_pm1(x) -> np.ndarray:
-    """Elementwise sign into {-1,+1} with the convention sign(0) = +1."""
-    return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int64)
+    """Elementwise sign into {-1,+1} as int8, with the convention sign(0) = +1."""
+    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
+
+
+def _integers(x) -> np.ndarray:
+    """x as an integer array in its own dtype, or as int64 if it has none."""
+    a = np.asarray(x)
+    return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,12 @@ class CbmParams:
 class CbmInstance:
     """One generated problem: planted signs plus censored edge list.
 
-    ``edges`` is an (m, 3) int64 array with rows (i, j, w), i < j,
-    w in {-1,+1}, kept sorted by (i, j).  Instances are immutable after
-    construction and safe to share read-only across workers.
+    ``edges`` is an (m, 3) array of ``index_dtype(n)`` (int32 below
+    n = 2**31) with rows (i, j, w), i < j, w in {-1,+1}, kept sorted by
+    (i, j); ``sigma`` is int8.  Both are checked in the dtype they are given
+    in and narrowed afterwards, so no out-of-range value wraps into range.
+    Instances are immutable after construction and safe to share read-only
+    across workers.
     """
 
     params: CbmParams
@@ -74,13 +88,15 @@ class CbmInstance:
     edges: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        sigma = _integers(self.sigma)
+        edges = _integers(self.edges).reshape(-1, 3)
         n = self.params.n
         if sigma.shape != (n,):
             raise ValueError(f"sigma must have shape ({n},), got {sigma.shape}")
         if not np.all((sigma == 1) | (sigma == -1)):
             raise ValueError("sigma entries must be +1 or -1")
+        sigma = sigma.astype(np.int8)
+        idx = index_dtype(n)
         if edges.size:
             i, j, w = edges[:, 0], edges[:, 1], edges[:, 2]
             if i.min() < 0 or j.max() >= n:
@@ -90,19 +106,22 @@ class CbmInstance:
             if not np.all((w == 1) | (w == -1)):
                 raise ValueError("edge weights must be +1 or -1")
             # with 0 <= i < j < n, key = i*n + j orders the edges by (i, j) and
-            # is equal exactly for duplicate edges (no overflow below n = 3*10^9)
-            key = i * n
+            # is equal exactly for duplicate edges (int64: no overflow below n = 3*10^9)
+            key = i.astype(np.int64)
+            key *= n
             key += j
             if np.all(key[1:] > key[:-1]):
-                # already sorted and unique, as generated and written; the copy
-                # keeps the caller's array from aliasing the instance
+                # already sorted and unique, as generated and written; the narrowing
+                # copy also keeps the caller's array from aliasing the instance
                 del key
-                edges = edges.copy()
+                edges = edges.astype(idx)
             else:
                 order = np.argsort(key)
                 if np.any(np.diff(key[order]) == 0):
                     raise ValueError("duplicate edge")
-                edges = edges[order]
+                edges = edges.astype(idx, copy=False)[order]
+        else:
+            edges = edges.astype(idx)
         sigma.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -193,14 +212,15 @@ def generate(params: CbmParams) -> CbmInstance:
     """
     n = params.n
     p = params.alpha / n
+    # drawn as int64, then narrowed: an int8 draw would take other values from the stream
     sigma = 2 * substream(params.seed, "sigma").integers(0, 2, size=n, dtype=np.int64) - 1
+    sigma = sigma.astype(np.int8)
     pos = _sample_pair_indices(n, p, substream(params.seed, "edges"))
-    edges = np.empty((pos.size, 3), dtype=np.int64)
+    edges = np.empty((pos.size, 3), dtype=index_dtype(n))
     edges[:, 0], edges[:, 1] = _decode_pair_indices(pos, n)
     del pos
     i, j, w = edges.T
-    np.take(sigma, i, out=w, mode="clip")  # i is in range; "raise" would buffer
-    w *= sigma[j]
+    np.multiply(sigma[i], sigma[j], out=w, dtype=np.int8)  # +-1 products, exact in int8
     flipped = substream(params.seed, "noise").random(w.size) < params.epsilon
     np.negative(w, out=w, where=flipped)
     return CbmInstance(params=params, sigma=sigma, edges=edges)
@@ -306,6 +326,7 @@ def read_instance(path) -> CbmInstance:
     parsed = _parse_plain(data)
     if parsed is None:  # decoded as Path.read_text does, universal newlines included
         parsed = _parse_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    del data  # freed before the instance copies the edges
     n, m, eps, seed, sigma, edges = parsed
     alpha = 2.0 * m / n if m else 0.5 / n  # params require alpha > 0
     try:
@@ -336,26 +357,33 @@ def _parse_plain(data: bytes):
     non-ASCII bytes, '+' signs) or does not parse to the shapes its header
     states; ``_parse_lines`` then decides, so both paths accept the same
     files with the same contents and reject the rest with the same message.
+    The sigma line parses into int8 and the edge block, read in place from
+    ``data``, into ``index_dtype(n)``; numpy raises on a token that does not
+    fit, so such files go to ``_parse_lines`` too.
     """
-    parts = data.split(b"\n", 4)
-    if len(parts) < 5:
-        return None
-    head = b"\n".join(parts[:3])
-    sigma_line, block = parts[3], parts[4]
+    ends = [0]  # where each of the first four lines starts, then where the edge block does
+    for _ in range(4):
+        k = data.find(b"\n", ends[-1])
+        if k < 0:
+            return None
+        ends.append(k + 1)
+    head = data[: ends[3]]
+    sigma_line = data[ends[3] : ends[4] - 1]
     if (
         len(head.translate(None, _LINE_BREAKS)) != len(head)
-        or sigma_line.translate(None, _PLAIN_BODY)
-        or block.translate(None, _PLAIN_BODY)
+        # every byte the sigma line and the edge block hold is plain
+        or len(data.translate(None, _PLAIN_BODY)) != len(head.translate(None, _PLAIN_BODY))
+        or not sigma_line.strip()  # loadtxt warns on an empty line
     ):
         return None
     try:
-        n, m, eps, seed = _parse_header([p.decode("ascii").strip() for p in parts[:4]])
+        n, m, eps, seed = _parse_header([data[a : b - 1].decode("ascii").strip() for a, b in zip(ends, ends[1:])])
         # str.splitlines() counts a last line without its newline, not an empty tail
-        n_lines = block.count(b"\n") + (not block.endswith(b"\n")) if block else 0
+        n_lines = data.count(b"\n", ends[4]) + (not data.endswith(b"\n"))
         if m == 0 or n_lines != m:  # loadtxt warns on an empty block
             return None
-        sigma = np.array(sigma_line.split(), dtype=np.int64)
-        edges = np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2)
+        sigma = np.loadtxt(io.BytesIO(sigma_line), dtype=np.int8, comments=None, ndmin=1)
+        edges = np.loadtxt(io.BytesIO(data), dtype=index_dtype(n), comments=None, skiprows=4, max_rows=m, ndmin=2)
     except (ValueError, OverflowError):
         return None
     if sigma.shape != (n,) or edges.shape != (m, 3):
@@ -369,7 +397,7 @@ def _parse_lines(text: str) -> tuple:
     n, m, eps, seed = _parse_header(lines)
     try:
         sigma = np.array([int(t) for t in lines[3].split()], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"bad sigma line: {exc}") from exc
     if sigma.size != n:
         raise InstanceFormatError(f"expected {n} sigma entries, got {sigma.size}")
@@ -383,6 +411,6 @@ def _parse_lines(text: str) -> tuple:
             raise InstanceFormatError(f"bad edge line {k}: {ln!r}")
         try:
             edges[k] = [int(t) for t in toks]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"bad edge line {k}: {exc}") from exc
     return n, m, eps, seed, sigma, edges

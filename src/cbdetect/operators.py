@@ -9,14 +9,15 @@ Two matrices drive the detection algorithms:
   negative directions at x = sqrt(avg degree) signal detectable
   structure.
 
-Each is assembled from coordinate triples into one canonical
+Each is assembled row by row from the sorted edge list into one canonical
 ``SparseMatrix``, a ``scipy.sparse.csr_array`` (rows in order, columns
 sorted within a row).  ``DirectedEdgeIndex`` holds the heads of the
 directed edges for BP, in halves: edge e as i->j at e, as j->i at e + m.
 
-Index arrays (CSR offsets and columns, assembly coordinates, directed-edge
-heads) are int32 while the dimension, the nnz and 2m are below 2**31, and
-int64 beyond; ``index_dtype`` is that one rule (docs/decisions.md).
+Index arrays (CSR offsets and columns, directed-edge heads) are int32
+while the dimension, the nnz and 2m are below 2**31, and int64 beyond;
+``model.index_dtype`` is that one rule, for the instance's edges too
+(docs/decisions.md).
 """
 
 from __future__ import annotations
@@ -26,21 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .model import CbmInstance
-
-
-def index_dtype(*sizes: int) -> type:
-    """int32 while every size is below 2**31, else int64."""
-    return np.int32 if max(sizes, default=0) < 2**31 else np.int64
+from .model import CbmInstance, index_dtype
 
 
 class SparseMatrix(scipy.sparse.csr_array):
     """A ``scipy.sparse.csr_array`` checked in full on construction.
 
     Construction adds scipy's full format check (offset length and order,
-    column range) and a finite-values check.  Builders go through
-    ``from_coo``, whose index arrays take the ``index_dtype`` of the shape
-    and the nnz and whose three arrays are read-only.
+    column range) and a finite-values check.  The builders pass index arrays
+    of the ``index_dtype`` of the shape and the nnz and make all three
+    arrays read-only.
     """
 
     def __init__(self, *args, **kwargs):
@@ -48,21 +44,6 @@ class SparseMatrix(scipy.sparse.csr_array):
         self.check_format(full_check=True)
         if not np.all(np.isfinite(self.data)):
             raise ValueError("values must be finite")
-
-    @classmethod
-    def from_coo(cls, nrows, ncols, rows, cols, vals) -> "SparseMatrix":
-        """Canonical CSR from coordinates; int32 coordinates pass to scipy without a copy."""
-        vals = np.asarray(vals, dtype=np.float64)
-        csr = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-        if csr.nnz != len(vals):  # tocsr sums duplicates into one entry
-            raise ValueError("duplicate entry in sparse assembly")
-        # narrowed only after coo_array has range-checked the coordinates, so nothing wraps
-        idx = index_dtype(nrows, ncols, csr.nnz)
-        indices, indptr = csr.indices.astype(idx, copy=False), csr.indptr.astype(idx, copy=False)
-        matrix = cls((csr.data, indices, indptr), shape=(nrows, ncols))
-        for arr in (matrix.indptr, matrix.indices, matrix.data):
-            arr.setflags(write=False)
-        return matrix
 
     # Kept for perfbench/tracing.py, their only reader: it patches matvec and
     # is_symmetric through SparseMatrix.__dict__, so both stay in this class body,
@@ -120,33 +101,94 @@ class DirectedEdgeIndex:
         return cls(heads=heads)
 
 
-def build_bprime(instance: CbmInstance) -> SparseMatrix:
-    """The 2n x 2n reduction [[0, D-I], [-I, J]] of the non-backtracking operator."""
+def _triangles(instance: CbmInstance, idx) -> tuple:
+    """J's lower and upper triangles as CSR parts (offsets, columns, +-1 weights).
+
+    The sorted edge list is the upper triangle's CSR as it stands, so its
+    part reads the edge columns in place; scipy's C conversion to CSC gives
+    the transpose, the lower triangle, in new arrays with the columns sorted
+    within each row.  Nothing is sorted here.
+    """
     n = instance.n
-    deg = instance.degrees()
-    top = np.flatnonzero(deg != 1)  # degree-1 rows of D-I vanish; drop the explicit zeros
-    idx = index_dtype(2 * n, len(top) + n + 2 * instance.m)
-    top = top.astype(idx)
-    node = np.arange(n, dtype=idx)
-    ij = instance.edges[:, :2].astype(idx) + n
-    w = instance.edges[:, 2].astype(np.float64)
-    rows = np.concatenate([top, node + n, ij[:, 0], ij[:, 1]])
-    cols = np.concatenate([top + n, node, ij[:, 1], ij[:, 0]])
-    vals = np.concatenate([(deg[top] - 1).astype(np.float64), -np.ones(n), w, w])
-    del ij, w  # freed before the CSR conversion, which holds the triples and the result at once
-    return SparseMatrix.from_coo(2 * n, 2 * n, rows, cols, vals)
+    i, j, w = instance.edges.T
+    ptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(i, minlength=n), out=ptr[1:])
+    lower = scipy.sparse.csr_array((w.copy(), j.astype(idx), ptr), shape=(n, n)).tocsc()
+    # the CSC arrays, read as CSR, are the transpose
+    return (lower.indptr.astype(idx, copy=False), lower.indices.astype(idx, copy=False), lower.data), (ptr, j, w)
+
+
+def _stack_rows(idx, head: int, parts) -> tuple:
+    """CSR offsets, columns and values whose row r lists row r of each part in turn.
+
+    A part is (offsets, columns, values) over the same rows; in every row a
+    part's columns are sorted and lie left of the next part's, so the result
+    is canonical without a sort.  The first ``head`` entries are left unset.
+    Each part is taken off the list once placed, so it is freed unless the
+    caller still holds it.
+    """
+    indptr = np.full(len(parts[0][0]), head, dtype=idx)
+    for ptr, _, _ in parts:
+        indptr += ptr
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1])
+    start = indptr[:-1].copy()  # where the next part's entries begin in each row
+    while parts:
+        ptr, cols, vals = parts.pop(0)
+        counts = np.diff(ptr)
+        dest = np.repeat(start - ptr[:-1], counts)
+        dest += np.arange(len(dest), dtype=idx)
+        indices[dest] = cols
+        data[dest] = vals
+        start += counts
+    return indptr, indices, data
+
+
+def _read_only(shape, indptr, indices, data) -> SparseMatrix:
+    matrix = SparseMatrix((data, indices, indptr), shape=shape)
+    for arr in (matrix.indptr, matrix.indices, matrix.data):
+        arr.setflags(write=False)
+    return matrix
+
+
+def build_bprime(instance: CbmInstance) -> SparseMatrix:
+    """The 2n x 2n reduction [[0, D-I], [-I, J]] of the non-backtracking operator.
+
+    Top row v holds d_v - 1 at column n + v, dropped where the degree is 1;
+    bottom row n + v holds -1 at column v, then row v of J shifted n columns right.
+    """
+    n = instance.n
+    idx = index_dtype(2 * n, 2 * n + 2 * instance.m)
+    lower, upper = _triangles(instance, idx)
+    deg = np.diff(lower[0]) + np.diff(upper[0])
+    top = np.flatnonzero(deg != 1)  # degree-1 rows of D-I vanish; no explicit zeros
+    node = np.arange(n + 1, dtype=idx)
+    parts = [(node, node[:-1], -1.0), lower, upper]
+    del lower  # freed once placed
+    indptr, indices, data = _stack_rows(idx, len(top), parts)
+    indices[len(top) :] += n  # J's columns lie in the right half,
+    indices[indptr[:-1]] -= n  # -I's, first in each bottom row, in the left
+    indices[: len(top)] = top + n
+    data[: len(top)] = deg[top] - 1
+    top_ptr = np.zeros(n, dtype=idx)
+    np.cumsum(deg[:-1] != 1, dtype=idx, out=top_ptr[1:])
+    return _read_only((2 * n, 2 * n), np.concatenate((top_ptr, indptr)), indices, data)
 
 
 def build_bethe_hessian(instance: CbmInstance, x: float) -> SparseMatrix:
-    """H(x) = (x^2-1)*I - x*J + D, real symmetric."""
+    """H(x) = (x^2-1)*I - x*J + D, real symmetric.
+
+    Row v holds J's entries left of the diagonal, the diagonal, then those right of it.
+    """
     n = instance.n
-    deg = instance.degrees()
     idx = index_dtype(n, n + 2 * instance.m)
-    node = np.arange(n, dtype=idx)
-    ij = instance.edges[:, :2].astype(idx)
-    rows = np.concatenate([node, ij[:, 0], ij[:, 1]])
-    cols = np.concatenate([node, ij[:, 1], ij[:, 0]])
-    offdiag = -x * instance.edges[:, 2].astype(np.float64)
-    vals = np.concatenate([x * x - 1.0 + deg.astype(np.float64), offdiag, offdiag])
-    del ij, offdiag  # freed before the CSR conversion, as in build_bprime
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    lower, upper = _triangles(instance, idx)
+    lower_counts = np.diff(lower[0])
+    deg = lower_counts + np.diff(upper[0])
+    node = np.arange(n + 1, dtype=idx)
+    parts = [lower, (node, node[:-1], 0.0), upper]
+    del lower  # freed once placed
+    indptr, indices, data = _stack_rows(idx, 0, parts)
+    data *= -x  # J's entries: w * -x rounds as -x * w
+    data[indptr[:-1] + lower_counts] = x * x - 1.0 + deg.astype(np.float64)
+    return _read_only((n, n), indptr, indices, data)

@@ -1,8 +1,12 @@
-"""Test-only oracles: the explicit non-backtracking operator B, the B <-> B' relations,
-the BP sweep on interleaved directed-edge ordinals, the instance writer and
-pair sampler as they were before they worked in place, and the
-population-dynamics draw as it was before it read its terms from a table.
+"""Test-only oracles: CSR assembly from coordinates, the explicit
+non-backtracking operator B, the B <-> B' relations, the BP sweep on
+interleaved directed-edge ordinals, the instance writer and pair sampler as
+they were before they worked in place, and the population-dynamics draw as
+it was before it read its terms from a table.
 
+``from_coo`` builds a read-only ``SparseMatrix`` from coordinate triples, as
+the package's builders did before they laid out their CSR arrays from the
+sorted edges; the operator and eigensolver tests build small matrices with it.
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
 acceptance tests compare B' against.  B is numbered like the package's
@@ -26,12 +30,29 @@ from pathlib import Path
 
 import numpy as np
 
+import scipy.sparse
+
 from cbdetect import BpConfig, BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
 from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_TOL, _require_edges
-from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER
+from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER, index_dtype
 from cbdetect.rng import substream
 
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
+
+
+def from_coo(nrows, ncols, rows, cols, vals) -> SparseMatrix:
+    """Read-only canonical CSR from coordinates, index arrays in the ``index_dtype`` of shape and nnz."""
+    vals = np.asarray(vals, dtype=np.float64)
+    csr = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    if csr.nnz != len(vals):  # tocsr sums duplicates into one entry
+        raise ValueError("duplicate entry in sparse assembly")
+    # narrowed only after coo_array has range-checked the coordinates, so nothing wraps
+    idx = index_dtype(nrows, ncols, csr.nnz)
+    indices, indptr = csr.indices.astype(idx, copy=False), csr.indptr.astype(idx, copy=False)
+    matrix = SparseMatrix((csr.data, indices, indptr), shape=(nrows, ncols))
+    for arr in (matrix.indptr, matrix.indices, matrix.data):
+        arr.setflags(write=False)
+    return matrix
 
 
 def reversal(count: int) -> np.ndarray:
@@ -69,7 +90,7 @@ def build_b(instance: CbmInstance) -> SparseMatrix:
     cols = by_tail[np.arange(len(rows)) + shift[rows]]
     keep = index.heads[cols] != tail[rows]  # simple graph: backtracks iff it returns to i
     rows, cols = rows[keep], cols[keep]
-    return SparseMatrix.from_coo(count, count, rows, cols, edge_weights(instance)[cols])
+    return from_coo(count, count, rows, cols, edge_weights(instance)[cols])
 
 
 @dataclass(frozen=True)

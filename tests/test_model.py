@@ -227,6 +227,16 @@ class TestOverlap:
         assert t.flags.writeable and g.flags.writeable
         assert t.tolist() == [1, 1, -1, -1] and g.tolist() == [1, -1, -1, -1]
 
+    def test_exact_on_int8_labels_at_n_1000(self):
+        # a +-1 sum or product in int8 would wrap here; the agreement count must not
+        t = sign_pm1(substream(8, "t").standard_normal(1000))
+        g = t.copy()
+        g[:300] *= -1
+        assert t.dtype == g.dtype == np.int8
+        assert overlap(t, g) == 2.0 * (700 / 1000 - 0.5)
+        assert overlap(t, -g) == overlap(t, g)
+        assert overlap(t, t) == overlap(t, -t) == 1.0
+
     def test_random_guess_vanishes(self):
         n = 100_000
         t = sign_pm1(substream(8, "t").standard_normal(n) )
@@ -313,6 +323,38 @@ class TestInstanceValidation:
             assert inst.edges.tolist() == [[0, 1, -1], [0, 3, 1], [2, 3, 1]]
             given_edges[0, 2] = 7
             assert inst.edges.tolist() == [[0, 1, -1], [0, 3, 1], [2, 3, 1]]
+
+    def test_narrow_dtypes(self, triangle):
+        assert triangle.sigma.dtype == np.int8
+        assert triangle.edges.dtype == np.int32 and triangle.edges.shape == (3, 3)
+        inst = generate(CbmParams(n=1000, alpha=5, epsilon=0.25, seed=2))
+        assert inst.sigma.dtype == np.int8 and inst.edges.dtype == np.int32
+
+    def test_sort_key_does_not_overflow_at_n_50000(self):
+        # i*n passes 2**31 for i >= 42,950: an int32 key would misorder these rows
+        params = CbmParams(n=50_000, alpha=1e-3, epsilon=0.1, seed=0)
+        sigma = np.ones(50_000, dtype=np.int8)
+        rows = [[49_000, 49_500, 1], [100, 200, -1], [48_000, 49_999, 1], [49_000, 49_001, -1]]
+        inst = CbmInstance(params=params, sigma=sigma, edges=np.array(rows, dtype=np.int32))
+        assert inst.edges.tolist() == [[100, 200, -1], [48_000, 49_999, 1], [49_000, 49_001, -1], [49_000, 49_500, 1]]
+        for dup in ([[49_000, 49_500, 1], [100, 200, -1], [49_000, 49_500, -1]],
+                    [[48_000, 49_999, 1], [48_000, 49_999, 1]]):
+            with pytest.raises(ValueError, match="^duplicate edge$"):
+                CbmInstance(params=params, sigma=sigma, edges=np.array(dup, dtype=np.int32))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_wide_values_rejected_not_wrapped(self, dtype):
+        # each bad value below narrows to a valid one: 2**32 + 1 -> 1 in int32, 257 -> 1 in int8
+        params = CbmParams(n=3, alpha=1, epsilon=0.1, seed=0)
+        sigma = np.ones(3, dtype=dtype)
+        for edges, match in (([[0, 2**32 + 1, 1]], "edge endpoint out of range"),
+                             ([[0, 2**31, 1]], "edge endpoint out of range"),
+                             ([[0, 3, 1]], "edge endpoint out of range"),
+                             ([[0, 1, 2**32 + 1]], "edge weights must be \\+1 or -1")):
+            with pytest.raises(ValueError, match=f"^{match}$"):
+                CbmInstance(params=params, sigma=sigma, edges=np.array(edges, dtype=dtype))
+        with pytest.raises(ValueError, match="^sigma entries must be \\+1 or -1$"):
+            CbmInstance(params=params, sigma=np.array([1, 257, 1], dtype=dtype), edges=np.array([[0, 1, 1]]))
 
     def test_immutable_arrays(self, triangle):
         with pytest.raises(ValueError):
@@ -414,6 +456,27 @@ class TestInstanceFile:
             write_reference(inst, b)
             assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("endpoint", [2**31 + 1, 2**32 + 1])
+    def test_endpoint_past_int32_rejected(self, tmp_path, endpoint):
+        # 2**32 + 1 would wrap to 1, a valid endpoint, if the edges were parsed narrow unchecked
+        path = tmp_path / "wide.cbm"
+        path.write_text(f"%cbm 1\n3 1 0.25 3\nsigma\n1 -1 1\n0 {endpoint} 1\n")
+        with pytest.raises(InstanceFormatError, match="^edge endpoint out of range$"):
+            read_instance(path)
+
+    def test_tokens_past_int64_rejected_as_format_errors(self, tmp_path):
+        path = tmp_path / "huge.cbm"
+        path.write_text(f"%cbm 1\n3 1 0.25 3\nsigma\n1 -1 1\n0 {2**64} 1\n")
+        with pytest.raises(InstanceFormatError, match="^bad edge line 0: "):
+            read_instance(path)
+        path.write_text(f"%cbm 1\n3 1 0.25 3\nsigma\n1 {2**64} 1\n0 1 1\n")
+        with pytest.raises(InstanceFormatError, match="^bad sigma line: "):
+            read_instance(path)
+
+    def test_read_parses_into_narrow_dtypes(self):
+        inst = read_instance(GOLDEN)
+        assert inst.sigma.dtype == np.int8 and inst.edges.dtype == np.int32
+
     def test_plain_file_skips_line_parser(self, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "_parse_lines", lambda text: calls.append(text))
@@ -488,4 +551,5 @@ class TestInstanceFile:
 
 
 def test_sign_convention_zero_is_positive():
-    assert np.array_equal(sign_pm1(np.array([-0.0, 0.0, 1.5, -2.0])), [1, 1, 1, -1])
+    labels = sign_pm1(np.array([-0.0, 0.0, 1.5, -2.0]))
+    assert labels.dtype == np.int8 and labels.tolist() == [1, 1, 1, -1]

@@ -17,10 +17,10 @@ from cbdetect import (
     generate,
     power_leading,
 )
-from cbdetect.operators import index_dtype
+from cbdetect.model import index_dtype
 from cbdetect.rng import derive_seed, substream
 from conftest import dense_weight_matrix, make_instance
-from oracles import bprime_eigvec_relations_check, build_b, edge_weights, reversal, tails
+from oracles import bprime_eigvec_relations_check, build_b, edge_weights, from_coo, reversal, tails
 
 TRIANGLE_SPECTRUM = np.sort_complex(
     np.array([1.0, 1.0, np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 3),
@@ -62,12 +62,12 @@ def assert_multiset_close(got, want, tol=1e-6):
 
 class TestSparseMatrix:
     def test_matvec_identity_pattern(self):
-        m = SparseMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
+        m = from_coo(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
         v = np.array([3.0, -1.0, 2.0])
         assert np.array_equal(m.matvec(v), v)
 
     def test_matvec_dimension_mismatch(self):
-        m = SparseMatrix.from_coo(2, 3, [0], [1], [1.0])
+        m = from_coo(2, 3, [0], [1], [1.0])
         with pytest.raises(ValueError):
             m.matvec(np.ones(2))
 
@@ -93,8 +93,8 @@ class TestSparseMatrix:
     def test_is_symmetric_compares_values(self):
         # an explicit zero at (0, 1) matches the absent (1, 0)
         assert SparseMatrix(([1.0, 0.0, 2.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2)).is_symmetric()
-        assert not SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]).is_symmetric()
-        assert not SparseMatrix.from_coo(2, 3, [0], [0], [1.0]).is_symmetric()
+        assert not from_coo(2, 2, [0, 1], [1, 0], [1.0, -1.0]).is_symmetric()
+        assert not from_coo(2, 3, [0], [0], [1.0]).is_symmetric()
 
     @staticmethod
     def _spy_elementwise(monkeypatch):
@@ -111,8 +111,8 @@ class TestSparseMatrix:
 
     def test_is_symmetric_mirrored_structure_decided_by_values(self, monkeypatch):
         calls = self._spy_elementwise(monkeypatch)
-        assert not SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 0, 2], [1.0, 2.0, 5.0]).is_symmetric()
-        assert SparseMatrix.from_coo(3, 3, [0, 1, 2], [1, 0, 2], [2.0, 2.0, 5.0]).is_symmetric()
+        assert not from_coo(3, 3, [0, 1, 2], [1, 0, 2], [1.0, 2.0, 5.0]).is_symmetric()
+        assert from_coo(3, 3, [0, 1, 2], [1, 0, 2], [2.0, 2.0, 5.0]).is_symmetric()
         inst = generate(CbmParams(n=200, alpha=6, epsilon=0.25, seed=7))
         assert build_bethe_hessian(inst, 2.0).is_symmetric()
         assert calls == []
@@ -130,7 +130,7 @@ class TestSparseMatrix:
 
     def test_from_coo_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+            from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="index pointer size 2 should be 3"):

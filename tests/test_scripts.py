@@ -30,7 +30,7 @@ def test_bp_damping_smallest_cell():
 
 def test_scale_series_at_n_2000():
     rows, _ = run_script("scale_series.py", "--n", "2000")
-    assert [row["command"] for row in rows] == ["gen", "detect NB", "detect BH", "detect BP", "popdyn"]
+    assert [row["command"] for row in rows] == ["gen", "read", "detect NB", "detect BH", "detect BP", "popdyn"]
     for row in rows:
         assert row["exit"] == 0 and row["cpu_s"] > 0 and row["peak_mb"] >= row["import_mb"] > 0
-        assert (row["iterations"] is None) == (row["command"] == "gen")
+        assert (row["iterations"] is None) == (row["command"] in ("gen", "read"))

@@ -1,22 +1,26 @@
-"""Peak traced memory of generation, instance writing, BP and operator assembly,
-in units of one 2m float64 array.
+"""Peak traced memory of generation, instance reading and writing, BP and operator
+assembly, in units of one 2m float64 array.
 
 tracemalloc sees every numpy buffer, so these bounds catch a sweep or an
 assembly that goes back to fresh temporaries or int64 index copies.  The
 measured peaks at n = 2*10^4, alpha = 8 are about 4.9 units for
-``bp_fixed_point``, 4.9 for ``build_bprime`` and 4.3 for
-``build_bethe_hessian`` with ``is_symmetric``; the previous allocation
-pattern took 12.1, 7.0 and 7.4 units, and 5.0 for ``is_symmetric`` alone.
-BP took 5.9 units while its sweeps ran on the interleaved directed-edge
-ordinals and kept the edge index alive.  ``generate`` takes about 3.75
-units, of which ``CbmInstance``'s checks and defensive copy take 1.5 (the
-copy and, before it, one m-long sort key); they took 4.2 and 2.5 while the
-checks diffed both endpoint columns and built masks from them.
-``write_instance`` takes 2.3 (one chunk of fixed-width lines, its mask and the
-squeezed bytes) and ``gershgorin_upper`` 2.5; when generation concatenated
-fresh temporaries and stacked the columns, the writer formatted Python ints
-and the Gershgorin bound gathered the off-diagonal entries, they took 6.6,
-6.2 and 4.4.
+``bp_fixed_point``, 3.4 for ``build_bprime`` and 3.6 for
+``build_bethe_hessian`` with ``is_symmetric`` (1.9 for ``is_symmetric``
+alone), since both operators are laid out row by row from the sorted edges;
+with coordinate triples and ``tocsr`` they took 4.9 and 4.3, and before that
+7.0 and 7.4 (12.1 for BP).  BP took 5.9 units while its sweeps ran
+on the interleaved directed-edge ordinals and kept the edge index alive.
+``generate`` takes about 2.9 units, of which ``CbmInstance``'s checks and
+narrowing copy take 0.77 (the int32 copy and, before it, one m-long int64
+sort key); they took 3.75 and 1.5 while the instance held int64 edges, and
+4.2 and 2.5 while the checks diffed both endpoint columns and built masks
+from them.  ``read_instance`` takes about 1.8 units (the file's bytes, the
+edges parsed in place into int32, then the instance); parsing a copy of the
+edge block into int64 took 4.0.  ``write_instance`` takes 2.3 (one chunk of
+fixed-width lines, its mask and the squeezed bytes) and ``gershgorin_upper``
+2.5; when generation concatenated fresh temporaries and stacked the
+columns, the writer formatted Python ints and the Gershgorin bound gathered
+the off-diagonal entries, they took 6.6, 6.2 and 4.4.
 
 One population-dynamics draw is measured in units of one float64 array per
 term (alpha * N of them): about 2.5 units, against 4.4 when every term had
@@ -39,6 +43,7 @@ from cbdetect import (
     build_bprime,
     empirical_alpha,
     generate,
+    read_instance,
     write_instance,
 )
 from cbdetect.eigen import gershgorin_upper
@@ -71,23 +76,29 @@ def test_bp_sweeps_run_in_reused_buffers(inst):
 
 
 def test_bprime_assembly(inst):
-    assert peak_units(inst, lambda: build_bprime(inst)) < 6.0
+    assert peak_units(inst, lambda: build_bprime(inst)) < 3.75
 
 
 def test_bethe_hessian_assembly_and_symmetry_check(inst):
     x = math.sqrt(empirical_alpha(inst))
-    assert peak_units(inst, lambda: build_bethe_hessian(inst, x).is_symmetric()) < 6.0
+    assert peak_units(inst, lambda: build_bethe_hessian(inst, x).is_symmetric()) < 3.9
     h = build_bethe_hessian(inst, x)
     assert peak_units(inst, h.is_symmetric) < 3.0
 
 
 def test_generation_builds_the_edge_array_in_place(inst):
-    assert peak_units(inst, lambda: generate(inst.params)) < 4.0
+    assert peak_units(inst, lambda: generate(inst.params)) < 3.25
 
 
 def test_instance_checks_allocate_one_key_then_the_copy(inst):
     sigma, edges = np.array(inst.sigma), np.array(inst.edges)
-    assert peak_units(inst, lambda: CbmInstance(inst.params, sigma, edges)) < 2.0
+    assert peak_units(inst, lambda: CbmInstance(inst.params, sigma, edges)) < 1.0
+
+
+def test_instance_reader_parses_in_place(inst, tmp_path):
+    path = tmp_path / "x.cbm"
+    write_instance(inst, path)
+    assert peak_units(inst, lambda: read_instance(path)) < 2.25
 
 
 def test_instance_writer_holds_one_chunk(inst, tmp_path):
