@@ -271,22 +271,26 @@ def _popdyn_draw(rng, pop, alpha, t_beta, flip_prob):
     it is read from the table [u, -u], u = atanh(t_beta * pop), computed
     once per member.  The degrees come from one total T ~ Poisson(alpha *
     count) split by a uniform row per term, which makes them i.i.d.
-    Poisson(alpha).  Generator calls, in order: the total, the parents,
-    the flips, the rows (docs/decisions.md).
+    Poisson(alpha).  The T terms are exchangeable (parents and rows are
+    i.i.d. and independent of the flips), so flipping the first
+    K ~ Binomial(T, flip_prob) of them has the law of T independent flips.
+    Generator calls, in order: the total, the parents, the flip count, the
+    rows (docs/decisions.md).
     """
     count = len(pop)
     total = int(rng.poisson(alpha * count))
     idx = rng.integers(0, count, size=total)
-    idx += (rng.random(total) < flip_prob) * count  # a flipped coupling reads -u
+    idx[: rng.binomial(total, flip_prob)] += count  # a flipped coupling reads -u
     table = np.empty(2 * count)
     u = np.multiply(pop, t_beta, out=table[:count])
     np.clip(u, -_ATANH_CLIP, _ATANH_CLIP, out=u)
     np.arctanh(u, out=u)
     np.negative(u, out=table[count:])
     terms = table.take(idx)
-    del idx
+    del idx, table, u
     rows = rng.integers(0, count, size=total)
-    return np.tanh(np.bincount(rows, weights=terms, minlength=count))
+    fields = np.bincount(rows, weights=terms, minlength=count)
+    return np.tanh(fields, out=fields)
 
 
 def population_dynamics(cfg: PopDynConfig) -> float:

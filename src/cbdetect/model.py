@@ -135,11 +135,6 @@ class CbmInstance:
     def m(self) -> int:
         return self.edges.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        d = np.bincount(self.edges[:, 0], minlength=self.n)
-        d += np.bincount(self.edges[:, 1], minlength=self.n)
-        return d
-
 
 def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of present pairs among the C(n,2) linearized node pairs.

@@ -10,6 +10,7 @@ import pytest
 from cbdetect import CbmInstance, CbmParams, generate
 from cbdetect.cli import SweepSpec, run_sweep
 from cbdetect.rng import derive_seed
+from oracles import degrees
 
 
 def make_instance(n, edges, sigma=None, epsilon=0.0, seed=1, alpha=None):
@@ -64,7 +65,7 @@ def conditioned_small_instance(k, master=0, tag="small-inst"):
         inst = generate(
             CbmParams(n=n, alpha=min(alpha, 0.9 * n), epsilon=eps, seed=derive_seed(base, "s", bump))
         )
-        if inst.m >= inst.n and inst.degrees().min() >= 2:
+        if inst.m >= inst.n and degrees(inst).min() >= 2:
             return inst
     raise RuntimeError("conditioning failed")
 

@@ -1,4 +1,4 @@
-"""Test-only oracles: CSR assembly from coordinates, the explicit
+"""Test-only oracles: CSR assembly from coordinates, node degrees, the explicit
 non-backtracking operator B, the B <-> B' relations, the BP sweep on
 interleaved directed-edge ordinals, the instance writer and pair sampler as
 they were before they worked in place, and the population-dynamics draw as
@@ -7,6 +7,8 @@ it was before it read its terms from a table.
 ``from_coo`` builds a read-only ``SparseMatrix`` from coordinate triples, as
 the package's builders did before they laid out their CSR arrays from the
 sorted edges; the operator and eigensolver tests build small matrices with it.
+``degrees`` counts node degrees from the edge list; the builders read them off
+their CSR offsets, so only the tests need it.
 No package code needs B itself: the detectors run on its reduction B'.
 These stay here as independent references that the operator and
 acceptance tests compare B' against.  B is numbered like the package's
@@ -55,6 +57,13 @@ def from_coo(nrows, ncols, rows, cols, vals) -> SparseMatrix:
     return matrix
 
 
+def degrees(instance: CbmInstance) -> np.ndarray:
+    """Node degrees counted from both endpoint columns."""
+    d = np.bincount(instance.edges[:, 0], minlength=instance.n)
+    d += np.bincount(instance.edges[:, 1], minlength=instance.n)
+    return d
+
+
 def reversal(count: int) -> np.ndarray:
     """The reversal of each directed edge in halves: k <-> (k + m) mod 2m."""
     return np.roll(np.arange(count), count // 2)
@@ -82,7 +91,7 @@ def build_b(instance: CbmInstance) -> SparseMatrix:
     # row k = i->j continues along each edge j->l: the deg(j) out-edges of j,
     # which sit contiguously once the directed edges are sorted by tail
     by_tail = np.argsort(tail)
-    deg = instance.degrees()
+    deg = degrees(instance)
     fan = deg[index.heads]
     shift = (np.cumsum(deg) - deg)[index.heads] - (np.cumsum(fan) - fan)
     count = len(index.heads)
@@ -119,7 +128,7 @@ def bprime_eigvec_relations_check(
     if vprime.shape != (2 * n,):
         raise ValueError(f"expected eigenvector of length {2 * n}, got {vprime.shape}")
     v_top, v_bot = vprime[:n], vprime[n:]
-    deg = instance.degrees()
+    deg = degrees(instance)
     scale = np.max(np.abs(vprime))
     relation = np.max(np.abs(lam * v_top - (deg - 1) * v_bot)) / scale
 

@@ -384,8 +384,10 @@ class TestPopulationDynamicsDraw:
     Step 1, one arctanh per member read from the table [u, -u], is exact:
     it is compared bit for bit with a draw that makes the same generator
     calls and computes every term as before.  Step 2, one Poisson total
-    split by uniform rows, keeps the law of the degrees but not the stream,
-    so it is checked on the degrees' moments and on the estimates.
+    split by uniform rows, and step 3, the first K ~ Binomial(T, epsilon)
+    terms flipped, keep the law of the degrees and of the flips but not the
+    stream, so they are checked on the moments of the degrees and of the
+    signed sums, and on the estimates.
     """
 
     @staticmethod
@@ -394,7 +396,7 @@ class TestPopulationDynamicsDraw:
         count = len(pop)
         total = int(rng.poisson(alpha * count))
         parents = rng.integers(0, count, size=total)
-        flipped = rng.random(total) < flip_prob
+        flipped = np.arange(total) < rng.binomial(total, flip_prob)
         rows = rng.integers(0, count, size=total)
         coupling = np.where(flipped, -t_beta, t_beta)
         terms = np.arctanh(np.clip(coupling * pop[parents], -inference._ATANH_CLIP, inference._ATANH_CLIP))
@@ -427,12 +429,32 @@ class TestPopulationDynamicsDraw:
         p0 = math.exp(-alpha)
         assert abs(np.mean(d == 0) - p0) < 5 * math.sqrt(p0 * (1 - p0) / count)
 
-    @pytest.mark.parametrize("alpha", [3.0, 4.5, 5.0, 8.0])
-    def test_estimates_agree_with_reference_draw(self, monkeypatch, alpha):
+    @pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("alpha", [0.7, 3.0, 8.0])
+    def test_flips_thin_the_degrees(self, alpha, epsilon):
+        # with every parent +1 a term is +c, or -c when flipped, so a member's
+        # atanh(value) / c is U - F with U ~ Poisson(alpha(1 - epsilon)) and
+        # F ~ Poisson(alpha epsilon) independent; flips clustered by row
+        # would inflate the variance past alpha
+        count, c = 100_000, 2.0**-6
+        out = inference._popdyn_draw(substream(8, "thinning"), np.ones(count), alpha, math.tanh(c), epsilon)
+        scaled = np.arctanh(out) / c
+        s = np.rint(scaled)
+        assert np.abs(scaled - s).max() < 1e-6
+        se_mean = math.sqrt(alpha / count)
+        se_var = math.sqrt((alpha + 2.0 * alpha**2) / count)  # U - F: 4th cumulant alpha, 4th central moment alpha(1+3alpha)
+        assert abs(s.mean() - alpha * (1.0 - 2.0 * epsilon)) < 5 * se_mean
+        assert abs(s.var(ddof=1) - alpha) < 5 * se_var
+
+    @pytest.mark.parametrize(
+        "alpha, epsilon",
+        [pytest.param(a, 0.25, id=str(a)) for a in (3.0, 4.5, 5.0, 8.0)] + [pytest.param(3.0, 0.1, id="3.0-0.1")],
+    )
+    def test_estimates_agree_with_reference_draw(self, monkeypatch, alpha, epsilon):
         def estimates():
             return np.array([
                 population_dynamics(PopDynConfig(
-                    alpha=alpha, epsilon=0.25, pop_size=2000, equilibration_sweeps=100,
+                    alpha=alpha, epsilon=epsilon, pop_size=2000, equilibration_sweeps=100,
                     measurement_sweeps=100, seed=derive_seed(14, "popdyn-law", int(10 * alpha), k)))
                 for k in range(16)
             ])
