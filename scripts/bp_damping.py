@@ -9,7 +9,7 @@ alpha/alpha_c in {0.75, 1, 1.25, 2}, with alpha_c = 1/(1-2 epsilon)^2 and
 {1.25, 2} with 2 seeds.  ``--n``, ``--epsilon`` and ``--ratio`` keep only
 the cells they list and ``--seeds`` caps the seeds per cell.  Every
 instance is generated once and BP runs on it at each damping in DAMPINGS,
-at the true epsilon with the default ``BpConfig``; the damping is set by
+at the true epsilon, capped at ``BP_MAX_SWEEPS``; the damping is set by
 rebinding ``inference.BP_DAMPING``, which ``bp_fixed_point`` reads at call
 time, and restored afterwards.  One JSON line per cell and damping goes to
 stdout (per seed: sweeps, converged, overlap), then a table on stderr:

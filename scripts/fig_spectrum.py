@@ -1,9 +1,10 @@
 """Complex spectra of B' below and above the detection threshold.
 
 Two n=2000 instances at epsilon=0.25 (alpha=3 and alpha=8); each gives a
-CSV of eigenvalues and an SVG scatter with the sqrt(alpha) circle, written
-by ``cbdetect spectrum``.  The above-threshold panel shows the single real
-outlier near alpha*(1-2*eps).
+CSV of eigenvalues and an SVG scatter with the sqrt(alpha) circle.
+``cbdetect gen`` writes each instance file into the output directory and
+``cbdetect spectrum --in`` reads it back.  The above-threshold panel shows
+the single real outlier near alpha*(1-2*eps).
 """
 
 import argparse
@@ -26,13 +27,16 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     for alpha in (float(t) for t in args.alphas.split(",")):
         stem = outdir / f"spectrum_alpha{alpha:g}"
-        code = cli.main([
-            "spectrum", "--n", str(args.n), "--alpha", repr(alpha), "--epsilon", repr(args.epsilon),
-            "--seed", str(args.seed), "--out", str(stem.with_suffix(".csv")),
-            "--svg", str(stem.with_suffix(".svg")),
-        ])
-        if code != cli.EXIT_OK:
-            return code
+        instance = str(stem.with_suffix(".cbm"))
+        for argv in (
+            ["gen", "--n", str(args.n), "--alpha", repr(alpha), "--epsilon", repr(args.epsilon),
+             "--seed", str(args.seed), "--out", instance],
+            ["spectrum", "--in", instance, "--out", str(stem.with_suffix(".csv")),
+             "--svg", str(stem.with_suffix(".svg"))],
+        ):
+            code = cli.main(argv)
+            if code != cli.EXIT_OK:
+                return code
         print(f"wrote {stem}.csv and {stem}.svg", file=sys.stderr)
     return cli.EXIT_OK
 

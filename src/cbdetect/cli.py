@@ -52,10 +52,14 @@ class SweepSpec:
     def __post_init__(self):
         if not self.alphas:
             raise ValueError("alpha grid must be non-empty")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ValueError("alpha grid must not repeat a value")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.methods:
             raise ValueError("method list must be non-empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("method list must not repeat a method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -162,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--jobs", type=int, default=1)
 
     spc = sub.add_parser("spectrum", help="dense spectrum of B' (or H) as CSV/SVG")
-    spc.add_argument("--in", dest="infile", default=None)
-    spc.add_argument("--n", type=int, default=None)
-    spc.add_argument("--alpha", type=float, default=None)
-    spc.add_argument("--epsilon", type=float, default=None)
-    spc.add_argument("--seed", type=int, default=0)
+    spc.add_argument("--in", dest="infile", required=True)
     spc.add_argument("--operator", choices=["bprime", "bethe"], default="bprime")
     spc.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     spc.add_argument("--svg", default=None, help="optional SVG scatter path")
@@ -218,14 +218,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.infile is not None:
-        inst = read_instance(args.infile)
-    else:
-        if args.n is None or args.alpha is None or args.epsilon is None:
-            raise ValueError("spectrum needs --in or all of --n/--alpha/--epsilon")
-        inst = generate(
-            CbmParams(n=args.n, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed)
-        )
+    inst = read_instance(args.infile)
     if args.operator == "bethe":
         matrix = build_bethe_hessian(inst, math.sqrt(empirical_alpha(inst)))
     else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import NoRealLeader, SolverConfig, power_leading, smallest_symmetric
+from .eigen import NoRealLeader, power_leading, smallest_symmetric
 from .model import CbmInstance, beta0, empirical_alpha, overlap, sign_pm1
 from .operators import DirectedEdgeIndex, build_bethe_hessian, build_bprime
 from .rng import substream
@@ -36,6 +36,7 @@ METHODS = ("NB", "BH", "BP")
 _ATANH_CLIP = 1.0 - 1e-12  # keep tanh/atanh compositions finite at saturated messages
 BP_DAMPING = 0.25  # weight of the previous message in each BP update (docs/decisions.md, "BP damping 0.25")
 BP_TOL = 1e-6  # BP has converged once no message moves by this much in a sweep
+BP_MAX_SWEEPS = 500  # a run still moving after this many sweeps is reported unconverged
 
 
 @dataclass
@@ -67,16 +68,6 @@ class DetectionOutcome:
                 "seed": self.seed,
             }
         )
-
-
-@dataclass
-class BpConfig:
-    max_sweeps: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
 
 @dataclass
@@ -119,10 +110,10 @@ def _fill_overlap(outcome: DetectionOutcome, instance: CbmInstance) -> Detection
     return outcome
 
 
-def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> DetectionOutcome:
+def algorithm1(instance: CbmInstance) -> DetectionOutcome:
     """Non-backtracking detection via the 2n x 2n reduction B'."""
     _require_edges(instance)
-    res = power_leading(build_bprime(instance), cfg)
+    res = power_leading(build_bprime(instance))
     seed = instance.params.seed
     if isinstance(res, NoRealLeader):
         return DetectionOutcome(
@@ -150,11 +141,11 @@ def algorithm1(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
     return _fill_overlap(out, instance)
 
 
-def algorithm2(instance: CbmInstance, cfg: SolverConfig | None = None) -> DetectionOutcome:
+def algorithm2(instance: CbmInstance) -> DetectionOutcome:
     """Bethe-Hessian detection: negative bottom eigenvalue of H(sqrt(2m/n))."""
     _require_edges(instance)
     x = math.sqrt(empirical_alpha(instance))
-    res = smallest_symmetric(build_bethe_hessian(instance, x), cfg)
+    res = smallest_symmetric(build_bethe_hessian(instance, x))
     out = DetectionOutcome(
         method="BH",
         success=res.value < 0.0,
@@ -174,7 +165,6 @@ def algorithm2(instance: CbmInstance, cfg: SolverConfig | None = None) -> Detect
 def bp_fixed_point(
     instance: CbmInstance,
     beta: float,
-    cfg: BpConfig | None = None,
     initial: np.ndarray | None = None,
 ) -> tuple[BpState, np.ndarray]:
     """Run damped synchronous BP sweeps; returns final state and node marginals.
@@ -185,10 +175,9 @@ def bp_fixed_point(
     directed edges in halves (``DirectedEdgeIndex``): position e < m is
     edge e as i->j, e + m its reversal j->i.  The all-zero message set is
     the exact uninformative fixed point; ``initial`` overrides the default
-    small random start.
+    small random start from ``substream(0, "bp-init")``.
     """
     _require_edges(instance)
-    cfg = cfg or BpConfig()
     n, m = instance.n, instance.m
     count = 2 * m
     if initial is not None:
@@ -197,7 +186,7 @@ def bp_fixed_point(
             raise ValueError(f"initial messages must have shape ({count},)")
     else:
         # one row of draws per edge, (i->j, j->i), transposed into the halves
-        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=(m, 2)).T.reshape(-1)
+        msgs = substream(0, "bp-init").uniform(-0.1, 0.1, size=(m, 2)).T.reshape(-1)
 
     # Reversing swaps the two contiguous halves.  With the edges sorted by
     # (i, j), bincount meets each node's terms in edge order, i->v terms
@@ -216,7 +205,7 @@ def bp_fixed_point(
     contrib = np.empty(count)
     work = np.empty(count)
     deltas = []
-    for _ in range(cfg.max_sweeps):
+    for _ in range(BP_MAX_SWEEPS):
         site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
         # work[k] = site[head(k)] - contrib[k], the cavity field of the reversal of k
         np.take(site, heads, out=work, mode="clip")  # heads lie in [0, n): "clip" only skips take's buffer
@@ -237,7 +226,7 @@ def bp_fixed_point(
 
 
 def bp_run(
-    instance: CbmInstance, epsilon_assumed: float, cfg: BpConfig | None = None
+    instance: CbmInstance, epsilon_assumed: float
 ) -> DetectionOutcome:
     """Belief propagation at the coupling implied by the assumed noise level.
 
@@ -248,7 +237,7 @@ def bp_run(
         raise ValueError(
             f"BP needs 0 < epsilon < 0.5 (infinite or zero coupling at {epsilon_assumed})"
         )
-    state, marginals = bp_fixed_point(instance, beta0(epsilon_assumed), cfg)
+    state, marginals = bp_fixed_point(instance, beta0(epsilon_assumed))
     out = DetectionOutcome(
         method="BP",
         success=True,
@@ -324,16 +313,14 @@ def detect(
     instance: CbmInstance,
     method: str,
     epsilon: float | None = None,
-    solver: SolverConfig | None = None,
-    bp: BpConfig | None = None,
 ) -> DetectionOutcome:
     """Dispatch one method on one instance; overlap filled from the planted signs."""
     if method == "NB":
-        return algorithm1(instance, solver)
+        return algorithm1(instance)
     if method == "BH":
-        return algorithm2(instance, solver)
+        return algorithm2(instance)
     if method == "BP":
         if epsilon is None:
             raise ValueError("BP requires the assumed epsilon")
-        return bp_run(instance, epsilon, bp)
+        return bp_run(instance, epsilon)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

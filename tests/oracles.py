@@ -34,8 +34,8 @@ import numpy as np
 
 import scipy.sparse
 
-from cbdetect import BpConfig, BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
-from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_TOL, _require_edges
+from cbdetect import BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
+from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_MAX_SWEEPS, BP_TOL, _require_edges
 from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER, index_dtype
 from cbdetect.rng import substream
 
@@ -144,10 +144,16 @@ def bprime_eigvec_relations_check(
     return RelationDiagnostics(relation_residual=float(relation), b_residual=float(b_resid))
 
 
+def bp_start(instance: CbmInstance, seed: int) -> np.ndarray:
+    """``bp_fixed_point``'s start drawn from ``substream(seed, "bp-init")``, in halves; seed 0 is its default."""
+    return substream(seed, "bp-init").uniform(-0.1, 0.1, size=(instance.m, 2)).T.reshape(-1)
+
+
 def bp_reference(
     instance: CbmInstance,
     beta: float,
-    cfg: BpConfig | None = None,
+    max_sweeps: int = BP_MAX_SWEEPS,
+    seed: int = 0,
     initial: np.ndarray | None = None,
     damping: float = BP_DAMPING,
 ) -> tuple[BpState, np.ndarray]:
@@ -155,11 +161,11 @@ def bp_reference(
 
     Ordinal 2e is edge e as i->j, 2e + 1 its reversal.  ``initial`` and the
     returned messages are in halves, as in ``bp_fixed_point``, and are
-    converted here.  ``damping`` is the weight of the previous message, the
-    package's ``BP_DAMPING`` unless given.
+    converted here; without ``initial`` the start is drawn, interleaved,
+    from ``substream(seed, "bp-init")``.  ``damping`` is the weight of the
+    previous message, the package's ``BP_DAMPING`` unless given.
     """
     _require_edges(instance)
-    cfg = cfg or BpConfig()
     n, count = instance.n, 2 * instance.m
     heads = instance.edges[:, [1, 0]].ravel().astype(np.intp)
     weights = np.repeat(instance.edges[:, 2].astype(np.float64), 2)
@@ -170,7 +176,7 @@ def bp_reference(
             raise ValueError(f"initial messages must have shape ({count},)")
         msgs = msgs.reshape(2, -1).T.ravel()
     else:
-        msgs = substream(cfg.seed, "bp-init").uniform(-0.1, 0.1, size=count)
+        msgs = substream(seed, "bp-init").uniform(-0.1, 0.1, size=count)
 
     def contributions(m, out):
         np.multiply(weights, m, out=out)
@@ -181,7 +187,7 @@ def bp_reference(
     contrib = np.empty(count)
     work = np.empty(count)
     state = BpState(messages=msgs)
-    for sweep in range(1, cfg.max_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         site = np.bincount(heads, weights=contributions(msgs, contrib), minlength=n)
         np.take(site, heads, out=work, mode="clip")
         np.subtract(work, contrib, out=work)

@@ -1,7 +1,11 @@
 import argparse
+import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from cbdetect import CbmParams, cli, generate, write_instance
+import cbdetect
+from cbdetect import CbmParams, PopDynConfig, SolverConfig, cli, generate, write_instance
 from cbdetect.cli import EXIT_DETECTION_FAILED, EXIT_FAULT, EXIT_OK, SweepSpec, main
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -149,6 +154,17 @@ class TestSweep:
         assert (code, stdout, err) == (EXIT_FAULT, "", "error: jobs must be >= 1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha,methods", [("8,8", "NB"), ("8", "NB,NB"), ("8,8.0", "NB,BH")])
+    def test_repeated_grid_entry_faults(self, capsys, tmp_path, alpha, methods):
+        # a repeat would write a second (alpha, method) row, each counting every trial twice
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--n", "200", "--epsilon", "0.25", "--alpha", alpha,
+            "--trials", "2", "--methods", methods, "--out", str(out),
+        )
+        assert (code, stdout) == (EXIT_FAULT, "") and "must not repeat" in err
+        assert not out.exists()
+
     def test_empty_methods_fault(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "sweep", "--n", "100", "--epsilon", "0.25", "--alpha", "3",
@@ -222,6 +238,13 @@ class TestBlasThreads:
 
 
 class TestSpectrum:
+    @staticmethod
+    def gen_file(capsys, tmp_path, *model_args):
+        """An instance file written by ``cbdetect gen``, the one source ``spectrum`` reads."""
+        path = str(tmp_path / "gen.cbm")
+        assert run_cli(capsys, "gen", *model_args, "--out", path)[0] == EXIT_OK
+        return path
+
     def test_triangle_file_matches_known_multiset(self, capsys, tmp_path, triangle_file):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(capsys, "spectrum", "--in", triangle_file, "--out", str(out))
@@ -236,16 +259,16 @@ class TestSpectrum:
             k = int(np.argmin([abs(g - w) for g in pool]))
             assert abs(pool.pop(k) - w) < 1e-6
 
-    def test_stdout_mode_and_generation_flags(self, capsys):
-        code, stdout, _ = run_cli(
-            capsys, "spectrum", "--n", "30", "--alpha", "4", "--epsilon", "0.25", "--seed", "3"
-        )
+    def test_stdout_mode_and_generation_flags(self, capsys, tmp_path):
+        path = self.gen_file(capsys, tmp_path, "--n", "30", "--alpha", "4", "--epsilon", "0.25", "--seed", "3")
+        code, stdout, _ = run_cli(capsys, "spectrum", "--in", path)
         assert code == EXIT_OK
         lines = stdout.splitlines()
         assert lines[0] == "re,im" and len(lines) == 61
 
     def test_stdout_bytes_equal_file_bytes(self, capsys, tmp_path):
-        args = ["spectrum", "--n", "40", "--alpha", "5", "--epsilon", "0.25", "--seed", "3"]
+        path = self.gen_file(capsys, tmp_path, "--n", "40", "--alpha", "5", "--epsilon", "0.25", "--seed", "3")
+        args = ["spectrum", "--in", path]
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(capsys, *args, "--out", str(out))
         assert code == EXIT_OK
@@ -278,14 +301,15 @@ class TestSpectrum:
         assert text.startswith("<svg") and text.count("<circle") == 7
 
     def test_dense_cap_exceeded_faults(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "spectrum", "--n", "3000", "--alpha", "3", "--epsilon", "0.25"
-        )
+        path = self.gen_file(capsys, tmp_path, "--n", "3000", "--alpha", "3", "--epsilon", "0.25")
+        code, _, err = run_cli(capsys, "spectrum", "--in", path)
         assert code == EXIT_FAULT and "smaller n" in err
 
-    def test_needs_source_fault(self, capsys):
-        code, _, _ = run_cli(capsys, "spectrum", "--alpha", "3")
-        assert code == EXIT_FAULT
+    def test_needs_source_fault(self, capsys, tmp_path):
+        # an instance comes from a file only; the model flags belong to gen
+        assert run_cli(capsys, "spectrum")[0] == EXIT_FAULT
+        path = self.gen_file(capsys, tmp_path, "--n", "30", "--alpha", "4", "--epsilon", "0.25")
+        assert run_cli(capsys, "spectrum", "--in", path, "--n", "30")[0] == EXIT_FAULT
 
 
 class TestPopdyn:
@@ -363,30 +387,92 @@ class TestExitCodeMatrix:
         assert (code, stdout, err) == (EXIT_FAULT, "", "error: need at least one edge\n")
 
 
-def test_option_surface():
-    """Every option each subcommand accepts; a new or returning knob shows up here."""
-    top = cli.build_parser()
-    (subparsers,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
-    got = {
+def subcommand_options() -> dict:
+    """The option strings of each subcommand, help included."""
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
         name: {opt for action in parser._actions for opt in action.option_strings}
         for name, parser in subparsers.choices.items()
     }
+
+
+def public_functions():
+    """(module.name, function) for every public function and method the package defines."""
+    for info in pkgutil.iter_modules(cbdetect.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"cbdetect.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_option_surface():
+    """Every option each subcommand accepts; a new or returning knob shows up here."""
+    top = cli.build_parser()
+    got = subcommand_options()
     common = {"-h", "--help"}
     assert got == {
         "gen": common | {"--n", "--alpha", "--epsilon", "--seed", "--out"},
         "detect": common | {"--in", "--methods", "--epsilon"},
         "sweep": common | {"--n", "--epsilon", "--alpha", "--trials", "--methods", "--seed",
                            "--out", "--jobs"},
-        "spectrum": common | {"--in", "--n", "--alpha", "--epsilon", "--seed", "--operator",
-                              "--out", "--svg"},
+        "spectrum": common | {"--in", "--operator", "--out", "--svg"},
         "popdyn": common | {"--alpha", "--epsilon", "--pop-size", "--sweeps", "--trials", "--seed"},
     }
     assert {opt for a in top._actions for opt in a.option_strings} == common
 
 
+def test_settable_value_count():
+    """The count of docs/decisions.md, "One way to set each value": 26 + 18 + 7 = 51.
+
+    CLI options, the fields of the config objects and the defaulted
+    keyword parameters of the package's public functions; the package
+    reads no environment variable.
+    """
+    options = sum(len(opts - {"-h", "--help"}) for opts in subcommand_options().values())
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (CbmParams, SolverConfig, PopDynConfig, SweepSpec)}
+    assert fields == {
+        "CbmParams": ["n", "alpha", "epsilon", "seed"],
+        "SolverConfig": ["tol", "max_iter"],
+        "PopDynConfig": ["alpha", "epsilon", "pop_size", "equilibration_sweeps", "measurement_sweeps", "seed"],
+        "SweepSpec": ["n", "epsilon", "alphas", "trials", "methods", "seed"],
+    }
+    defaulted = {}
+    for name, fn in public_functions():
+        params = [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+        if params:
+            defaulted[name] = params
+    assert defaulted == {
+        "cli.run_sweep": ["jobs"],
+        "cli.main": ["argv"],
+        "eigen.power_leading": ["cfg"],
+        "eigen.smallest_symmetric": ["cfg"],
+        "eigen.spectrum_to_csv": ["path"],
+        "inference.bp_fixed_point": ["initial"],
+        "inference.detect": ["epsilon"],
+    }
+    sources = " ".join(path.read_text() for path in Path(cbdetect.__file__).parent.glob("*.py"))
+    assert "os.environ" not in sources and "getenv" not in sources
+    counts = (options, sum(map(len, fields.values())), sum(map(len, defaulted.values())))
+    assert counts == (26, 18, 7) and sum(counts) == 51
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(n=10, epsilon=0.2, alphas=(), trials=1, methods=("NB",), seed=0)
+    with pytest.raises(ValueError, match="alpha grid must not repeat"):
+        SweepSpec(n=10, epsilon=0.2, alphas=(8.0, 8.0), trials=2, methods=("NB",), seed=0)
+    with pytest.raises(ValueError, match="method list must not repeat"):
+        SweepSpec(n=10, epsilon=0.2, alphas=(8.0,), trials=2, methods=("NB", "NB"), seed=0)
     with pytest.raises(ValueError):
         SweepSpec(n=10, epsilon=0.2, alphas=(3.0,), trials=0, methods=("NB",), seed=0)
     with pytest.raises(ValueError):

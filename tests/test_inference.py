@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbdetect import (
-    BpConfig,
     CbmInstance,
     CbmParams,
     PopDynConfig,
@@ -31,7 +30,7 @@ from cbdetect import (
 from cbdetect import cli, inference
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
-from oracles import bp_reference, popdyn_draw_reference
+from oracles import bp_reference, bp_start, popdyn_draw_reference
 
 
 def gauge_flip(instance, flip_seed=99):
@@ -108,19 +107,19 @@ class TestAlgorithm2:
 
 
 class TestBeliefPropagation:
-    def test_zero_messages_are_exact_fixed_point(self, triangle):
-        state, marginals = bp_fixed_point(
-            triangle, beta0(0.25), BpConfig(max_sweeps=1), initial=np.zeros(6)
-        )
+    def test_zero_messages_are_exact_fixed_point(self, triangle, monkeypatch):
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 1)
+        state, marginals = bp_fixed_point(triangle, beta0(0.25), initial=np.zeros(6))
         assert np.all(state.messages == 0.0)
         assert np.all(marginals == 0.0)
         assert state.converged and state.max_delta[-1] == 0.0
 
-    def test_path_message_moves_on_in_halves(self, path3):
+    def test_path_message_moves_on_in_halves(self, path3, monkeypatch):
         # positions 0..3 are 0->1, 1->2 (edge e as i->j at e), then 1->0, 2->1 (its reversal at e + m)
         x, t, d = 0.5, 0.5, inference.BP_DAMPING  # tanh(beta0(0.25)) = 1 - 2 * 0.25
         initial = np.array([x, 0.0, 0.0, 0.0])
-        state, _ = bp_fixed_point(path3, beta0(0.25), BpConfig(max_sweeps=1), initial=initial)
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 1)
+        state, _ = bp_fixed_point(path3, beta0(0.25), initial=initial)
         assert state.messages[0] == d * x  # 0->1 has no other incoming edge at 0: only the damped old value
         assert state.messages[1] == pytest.approx((1 - d) * t * x, rel=1e-12)  # 0->1 carried on to 1->2
         assert state.messages[2] == state.messages[3] == 0.0  # and to no reversal
@@ -131,9 +130,10 @@ class TestBeliefPropagation:
             with pytest.raises(ValueError):
                 bp_run(inst, bad)
 
-    def test_messages_stay_bounded_at_small_epsilon(self):
+    def test_messages_stay_bounded_at_small_epsilon(self, monkeypatch):
         inst = generate(CbmParams(n=400, alpha=6, epsilon=0.01, seed=3))
-        state, marginals = bp_fixed_point(inst, beta0(0.01), BpConfig(max_sweeps=60))
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 60)
+        state, marginals = bp_fixed_point(inst, beta0(0.01))
         assert np.all(np.abs(state.messages) <= 1.0)
         assert np.all(np.isfinite(state.messages))
         assert np.all(np.abs(marginals) <= 1.0)
@@ -149,17 +149,20 @@ class TestBeliefPropagation:
         assert out.success  # BP always labels
         assert out.overlap < 0.02
 
-    def test_state_records_sweep_deltas(self):
+    def test_state_records_sweep_deltas(self, monkeypatch):
         inst = generate(CbmParams(n=200, alpha=5, epsilon=0.2, seed=4))
-        state, _ = bp_fixed_point(inst, beta0(0.2), BpConfig(max_sweeps=25))
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 25)
+        state, _ = bp_fixed_point(inst, beta0(0.2))
         assert state.sweeps == len(state.max_delta)
         assert all(d >= 0 for d in state.max_delta)
 
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_max_sweeps_below_one_rejected(self, bad):
-        # a run of no sweeps would report labels from the random start as converged
-        with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
-            BpConfig(max_sweeps=bad)
+    def test_default_start_is_seed_zero_draw(self):
+        # the seeded starts below stand in for the package's own draw only if it is this one
+        inst = generate(CbmParams(n=200, alpha=5, epsilon=0.2, seed=4))
+        state, marginals = bp_fixed_point(inst, beta0(0.2))
+        drawn, drawn_marginals = bp_fixed_point(inst, beta0(0.2), initial=bp_start(inst, 0))
+        assert state.messages.tobytes() == drawn.messages.tobytes()
+        assert marginals.tobytes() == drawn_marginals.tobytes()
 
 
 @st.composite
@@ -177,7 +180,12 @@ def bp_cases(draw):
 
 
 class TestBpMatchesReference:
-    """``bp_fixed_point`` (edges in halves) against the interleaved sweep, bit for bit."""
+    """``bp_fixed_point`` (edges in halves) against the interleaved sweep, bit for bit.
+
+    The reference draws its start from ``seed`` in interleaved order; the
+    package is given the same draw in halves (``bp_start``) and its sweep
+    cap through ``inference.BP_MAX_SWEEPS``.
+    """
 
     CAPPED = (5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)], 0.25, 3, 6, None, False)
     K5 = [(i, j, 1) for i in range(5) for j in range(i + 1, 5)][::-1]
@@ -192,8 +200,12 @@ class TestBpMatchesReference:
             initial = np.random.default_rng(initial_seed).uniform(-1.0, 1.0, size=2 * inst.m)
             if saturated:
                 initial = np.sign(initial)
-        args = (inst, beta0(epsilon), BpConfig(max_sweeps=max_sweeps, seed=seed))
-        return bp_reference(*args, initial=initial), bp_fixed_point(*args, initial=initial)
+        beta = beta0(epsilon)
+        ref = bp_reference(inst, beta, max_sweeps, seed, initial=initial)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "BP_MAX_SWEEPS", max_sweeps)
+            got = bp_fixed_point(inst, beta, initial=bp_start(inst, seed) if initial is None else initial)
+        return ref, got
 
     @given(case=bp_cases())
     @example(case=(6, [(1, 3, 1), (2, 4, -1)], 0.2, 500, 1, None, False))  # isolated nodes 0 and 5
@@ -246,16 +258,19 @@ class TestConverged:
     def instance(alpha, seed):
         return generate(CbmParams(n=2000, alpha=alpha, epsilon=0.25, seed=seed))
 
-    def test_bp(self):
+    def test_bp(self, monkeypatch):
         inst = self.instance(6, 13)
         assert bp_run(inst, 0.25).converged
-        capped = bp_run(inst, 0.25, BpConfig(max_sweeps=3))
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 3)
+        capped = bp_run(inst, 0.25)
         assert not capped.converged and capped.iterations == 3 and capped.reason
 
-    def test_bh(self):
+    def test_bh(self, monkeypatch):
         inst = self.instance(8, 33)
         assert algorithm2(inst).converged
-        capped = algorithm2(inst, SolverConfig(max_iter=5))
+        capped_solver = lambda h: smallest_symmetric(h, SolverConfig(max_iter=5))  # noqa: E731
+        monkeypatch.setattr(inference, "smallest_symmetric", capped_solver)
+        capped = algorithm2(inst)
         assert not capped.converged and capped.iterations == 5
 
     def test_nb(self):
@@ -263,8 +278,9 @@ class TestConverged:
         stalled = algorithm1(self.instance(4.5, 32))  # a NoRealLeader instance (TestSpectralGolden)
         assert not stalled.converged and not stalled.success and stalled.lambda1 is None
 
-    def test_not_in_json_line(self):
-        out = bp_run(self.instance(6, 13), 0.25, BpConfig(max_sweeps=3))
+    def test_not_in_json_line(self, monkeypatch):
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 3)
+        out = bp_run(self.instance(6, 13), 0.25)
         assert "converged" not in json.loads(out.to_json())
 
 
@@ -273,13 +289,14 @@ class TestBpGolden:
 
     # blake2b-128 of messages, marginals and max_delta on
     # generate(CbmParams(n=2000, alpha=6, epsilon=0.25, seed=13)) at beta0(0.25)
-    # recorded at BP_DAMPING = 0.25, messages in halves
+    # from the start bp_start(inst, 13), recorded at BP_DAMPING = 0.25, messages in halves
     CONVERGED = (111, "bc0e4100a770446d9a1d885c37ab312e", "e49f9e598e47f29228d7b22126f4e566",
                  "b8221ba833ba0a3eae9ad9ba7be3595f")
     CAPPED = (7, "34431f08bf590898aea0205f8db7a9d6", "2fedd8eb5e384d028e4c3632d9861e5a",
               "61b8988e64eef6c1d667cec9ef157f7f")
+    # bp_run on the same instance from the package's own start
     JSON = ('{"method": "BP", "success": true, "lambda1": null, "lambda_min_H": null, '
-            '"overlap": 0.5449999999999999, "iterations": 111, "residual": 8.729112807720485e-07, '
+            '"overlap": 0.5449999999999999, "iterations": 101, "residual": 9.716681922955495e-07, '
             '"seed": 13}')
 
     @staticmethod
@@ -291,15 +308,20 @@ class TestBpGolden:
         return generate(CbmParams(n=2000, alpha=6, epsilon=0.25, seed=13))
 
     @pytest.mark.parametrize("max_sweeps", [500, 7])
-    def test_fixed_point_digests(self, inst, max_sweeps):
-        state, marginals = bp_fixed_point(inst, beta0(0.25), BpConfig(max_sweeps=max_sweeps, seed=13))
+    def test_fixed_point_digests(self, inst, max_sweeps, monkeypatch):
+        monkeypatch.setattr(inference, "BP_MAX_SWEEPS", max_sweeps)
+        state, marginals = bp_fixed_point(inst, beta0(0.25), initial=bp_start(inst, 13))
         got = (state.sweeps, self._digest(state.messages), self._digest(marginals),
                self._digest(np.array(state.max_delta)))
         assert got == (self.CONVERGED if max_sweeps == 500 else self.CAPPED)
         assert state.converged == (max_sweeps == 500)
 
-    def test_bp_run_json_line(self, inst):
-        assert bp_run(inst, 0.25, BpConfig(seed=13)).to_json() == self.JSON
+    def test_bp_run_json_line(self, inst, capsys, tmp_path):
+        assert bp_run(inst, 0.25).to_json() == self.JSON
+        path = tmp_path / "golden.cbm"
+        write_instance(inst, path)
+        assert cli.main(["detect", "--in", str(path), "--methods", "BP", "--epsilon", "0.25"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == self.JSON + "\n"
 
 
 class TestSpectralGolden:

@@ -9,12 +9,14 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *argv):
-    """Exit status 0, and the JSON lines the script prints on stdout, with its stderr."""
+def run_script(name, *argv, json_lines=True):
+    """Exit status 0, and the JSON lines the script prints on stdout (its raw stdout otherwise), with its stderr."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *argv], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if not json_lines:
+        return proc.stdout, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()], proc.stderr
 
 
@@ -34,3 +36,11 @@ def test_scale_series_at_n_2000():
     for row in rows:
         assert row["exit"] == 0 and row["cpu_s"] > 0 and row["peak_mb"] >= row["import_mb"] > 0
         assert (row["iterations"] is None) == (row["command"] in ("gen", "read"))
+
+
+def test_fig_spectrum_at_n_100(tmp_path):
+    run_script("fig_spectrum.py", "--n", "100", "--outdir", str(tmp_path), json_lines=False)
+    for alpha in (3, 8):
+        stem = tmp_path / f"spectrum_alpha{alpha}"
+        assert len(stem.with_suffix(".csv").read_text().splitlines()) == 2 * 100 + 1  # header and 2n eigenvalues
+        assert stem.with_suffix(".svg").exists()

@@ -38,7 +38,6 @@ import numpy as np
 import pytest
 
 from cbdetect import (
-    BpConfig,
     CbmInstance,
     CbmParams,
     beta0,
@@ -51,6 +50,7 @@ from cbdetect import (
     write_instance,
 )
 from cbdetect.eigen import gershgorin_upper
+from cbdetect import inference
 from cbdetect.inference import _popdyn_draw
 from cbdetect.rng import substream
 
@@ -75,8 +75,9 @@ def peak_units(inst, fn) -> float:
     return peak_bytes(fn) / (2 * inst.m * 8)
 
 
-def test_bp_sweeps_run_in_reused_buffers(inst):
-    assert peak_units(inst, lambda: bp_fixed_point(inst, beta0(0.25), BpConfig(max_sweeps=20))) < 7.0
+def test_bp_sweeps_run_in_reused_buffers(inst, monkeypatch):
+    monkeypatch.setattr(inference, "BP_MAX_SWEEPS", 20)
+    assert peak_units(inst, lambda: bp_fixed_point(inst, beta0(0.25))) < 7.0
 
 
 def test_bprime_assembly(inst):
