@@ -29,7 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cbdetect import CbmParams, alpha_detect, bp_run, generate, inference  # noqa: E402
+from cbdetect import inference  # noqa: E402
+from cbdetect.inference import bp_run  # noqa: E402
+from cbdetect.model import CbmParams, alpha_detect, generate  # noqa: E402
 from cbdetect.rng import derive_seed  # noqa: E402
 
 DAMPINGS = (0.5, 0.375, 0.25, 0.125, 0.0)

@@ -10,8 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from cbdetect import PopDynConfig, alpha_detect, population_dynamics
 from cbdetect.cli import SweepSpec, run_sweep, write_sweep_csv
+from cbdetect.inference import PopDynConfig, population_dynamics
+from cbdetect.model import alpha_detect
 from cbdetect.rng import derive_seed
 
 RATIOS = (0.75, 0.875, 1.0, 1.125, 1.25, 1.375, 1.5, 1.75, 2.0)  # alpha / alpha_c

@@ -1,77 +1,1 @@
 """Recovery of planted node signs from censored edge observations on sparse graphs."""
-
-from .eigen import (
-    EigenResult,
-    NoRealLeader,
-    SolverConfig,
-    dense_spectrum,
-    power_leading,
-    smallest_symmetric,
-    spectrum_to_csv,
-    spectrum_to_svg,
-)
-from .inference import (
-    BpState,
-    DetectionOutcome,
-    PopDynConfig,
-    algorithm1,
-    algorithm2,
-    bp_fixed_point,
-    bp_run,
-    detect,
-    population_dynamics,
-)
-from .model import (
-    CbmInstance,
-    CbmParams,
-    InstanceFormatError,
-    alpha_detect,
-    beta0,
-    empirical_alpha,
-    generate,
-    overlap,
-    read_instance,
-    sign_pm1,
-    write_instance,
-)
-from .operators import (
-    DirectedEdgeIndex,
-    SparseMatrix,
-    build_bethe_hessian,
-    build_bprime,
-)
-
-__all__ = [
-    "BpState",
-    "CbmInstance",
-    "CbmParams",
-    "DetectionOutcome",
-    "DirectedEdgeIndex",
-    "EigenResult",
-    "InstanceFormatError",
-    "NoRealLeader",
-    "PopDynConfig",
-    "SolverConfig",
-    "SparseMatrix",
-    "algorithm1",
-    "algorithm2",
-    "alpha_detect",
-    "beta0",
-    "bp_fixed_point",
-    "bp_run",
-    "build_bethe_hessian",
-    "build_bprime",
-    "dense_spectrum",
-    "detect",
-    "empirical_alpha",
-    "generate",
-    "overlap",
-    "population_dynamics",
-    "power_leading",
-    "read_instance",
-    "sign_pm1",
-    "smallest_symmetric",
-    "spectrum_to_csv",
-    "spectrum_to_svg",
-    "write_instance",
-]

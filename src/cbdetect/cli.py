@@ -87,22 +87,18 @@ def _trial_outcomes(spec: SweepSpec, alpha_index: int, trial: int) -> list:
     return rows
 
 
-def _pool_entry(args):
-    return _trial_outcomes(*args)
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """Execute the sweep; trial results are order-independent, rows sorted."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [
-        (spec, ai, t) for ai in range(len(spec.alphas)) for t in range(spec.trials)
-    ]
+    tasks = [(ai, t) for ai in range(len(spec.alphas)) for t in range(spec.trials)]
+    columns = ([spec] * len(tasks), *zip(*tasks))
+    jobs = min(jobs, len(tasks))  # the pool starts every worker it is given
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_pool_entry, tasks))
+            per_trial = list(pool.map(_trial_outcomes, *columns))
     else:
-        per_trial = [_trial_outcomes(*task) for task in tasks]
+        per_trial = list(map(_trial_outcomes, *columns))
     acc: dict[tuple[int, str], list] = {}
     for rows in per_trial:
         for alpha_index, method, success, ov in rows:
@@ -228,9 +224,11 @@ def cmd_spectrum(args) -> int:
             f"matrix dimension {matrix.shape[0]} above dense cap {DENSE_CAP}; use a smaller n"
         )
     eig = dense_spectrum(matrix.toarray())
-    csv = spectrum_to_csv(eig, args.out)
+    csv = spectrum_to_csv(eig)
     if args.out is None:
         sys.stdout.write(csv)
+    else:
+        Path(args.out).write_text(csv, encoding="utf-8")
     if args.svg is not None:
         spectrum_to_svg(eig, args.svg, radius=math.sqrt(empirical_alpha(inst)))
     return EXIT_OK

@@ -177,14 +177,11 @@ def dense_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(matrix).astype(np.complex128)
 
 
-def spectrum_to_csv(eigenvalues: np.ndarray, path=None) -> str:
-    """CSV text, header ``re,im``, sorted for stable output; also written to ``path`` if given."""
+def spectrum_to_csv(eigenvalues: np.ndarray) -> str:
+    """CSV text, header ``re,im``, sorted for stable output."""
     eig = eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
     lines = ["re,im"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in eig]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def spectrum_to_svg(eigenvalues: np.ndarray, path, radius: float) -> None:

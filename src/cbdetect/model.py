@@ -141,8 +141,8 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
 
     Geometric skip-sampling: jump lengths between selected pairs are
     drawn by inverting the geometric CDF, which is O(m) regardless of n.
-    Each block of draws becomes its positions in place; the positions are
-    integer-valued floats below 2^53, so every sum is exact.
+    Jumps are clipped to C(n,2) + 1, past the last pair (a zero draw's
+    +inf too), and summed in int64, so the positions are exact at any n.
     """
     total = n * (n - 1) // 2
     if total == 0 or p <= 0.0:
@@ -152,24 +152,24 @@ def _sample_pair_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     log1mp = math.log1p(-p)
     block = int(min(4 << 20, total * p + 6.0 * math.sqrt(total * p) + 16.0))
     chunks = []
-    cum = 0.0
+    cum = 0
     while True:
         c = rng.random(block)
         with np.errstate(divide="ignore"):
             np.log(c, out=c)
         c /= log1mp
         np.floor(c, out=c)
-        c += 1.0
+        np.minimum(c, total, out=c)
+        c = c.astype(np.int64)
+        c += 1
         np.cumsum(c, out=c)
         c += cum
-        if not np.isfinite(c[-1]) or c[-1] > total:
-            # positions only grow (+inf past a zero draw): the kept ones are a prefix
+        if c[-1] > total:  # positions only grow: the kept ones are a prefix
             chunks.append(c[: np.searchsorted(c, total, side="right")])
             break
         chunks.append(c)
-        cum = float(c[-1])
-    pos = np.empty(sum(map(len, chunks)), dtype=np.int64)
-    np.concatenate(chunks, out=pos, casting="unsafe")
+        cum = int(c[-1])
+    pos = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]  # one block needs no copy
     pos -= 1
     return pos
 

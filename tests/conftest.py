@@ -7,8 +7,8 @@ criteria and the inference invariants share one computation.
 import numpy as np
 import pytest
 
-from cbdetect import CbmInstance, CbmParams, generate
 from cbdetect.cli import SweepSpec, run_sweep
+from cbdetect.model import CbmInstance, CbmParams, generate
 from cbdetect.rng import derive_seed
 from oracles import degrees
 

@@ -34,9 +34,16 @@ import numpy as np
 
 import scipy.sparse
 
-from cbdetect import BpState, CbmInstance, DirectedEdgeIndex, SparseMatrix
-from cbdetect.inference import _ATANH_CLIP, BP_DAMPING, BP_MAX_SWEEPS, BP_TOL, _require_edges
-from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER, index_dtype
+from cbdetect.inference import (
+    _ATANH_CLIP,
+    BP_DAMPING,
+    BP_MAX_SWEEPS,
+    BP_TOL,
+    BpState,
+    _require_edges,
+)
+from cbdetect.model import _EDGE_CHUNK, FORMAT_HEADER, CbmInstance, index_dtype
+from cbdetect.operators import DirectedEdgeIndex, SparseMatrix
 from cbdetect.rng import substream
 
 EIG_ONE_TOL = 1e-6  # how close to +-1 an eigenvalue may sit before the B <-> B' reduction degenerates
@@ -232,7 +239,7 @@ def write_reference(instance: CbmInstance, path) -> None:
 
 
 def sample_pair_indices_reference(n: int, p: float, rng) -> np.ndarray:
-    """``model._sample_pair_indices`` with fresh temporaries per block and one concatenation."""
+    """``model._sample_pair_indices`` summed in float64, exact while C(n,2) < 2^53, with fresh temporaries."""
     total = n * (n - 1) // 2
     if total == 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)

@@ -10,21 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from cbdetect import (
-    CbmParams,
-    EigenResult,
-    NoRealLeader,
-    bp_run,
-    build_bethe_hessian,
-    build_bprime,
-    empirical_alpha,
-    generate,
-    population_dynamics,
-    power_leading,
-    smallest_symmetric,
-    PopDynConfig,
-)
 from cbdetect.cli import main
+from cbdetect.eigen import EigenResult, NoRealLeader, power_leading, smallest_symmetric
+from cbdetect.inference import PopDynConfig, bp_run, population_dynamics
+from cbdetect.model import CbmParams, empirical_alpha, generate
+from cbdetect.operators import build_bethe_hessian, build_bprime
 from cbdetect.rng import derive_seed
 from conftest import conditioned_small_instance, dense_weight_matrix
 from oracles import bprime_eigvec_relations_check, build_b, degrees
@@ -189,7 +179,7 @@ def test_criterion_09_population_dynamics():
 
 
 def test_criterion_10_oracle_equivalence():
-    from cbdetect import SolverConfig
+    from cbdetect.eigen import SolverConfig
 
     # hitting 1e-6 relative on weakly separated bottom pairs needs a tighter
     # tol than the default and room for the shift-and-power tail (the worst

@@ -8,7 +8,8 @@ the tracer through the same layers as a traced run, on a small instance.
 
 from pathlib import Path
 
-from cbdetect import CbmParams, cli, eigen, generate, inference, operators
+from cbdetect import cli, eigen, inference, operators
+from cbdetect.model import CbmParams, generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

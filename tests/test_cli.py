@@ -15,8 +15,11 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import cbdetect
-from cbdetect import CbmParams, PopDynConfig, SolverConfig, cli, generate, write_instance
+from cbdetect import cli
 from cbdetect.cli import EXIT_DETECTION_FAILED, EXIT_FAULT, EXIT_OK, SweepSpec, main
+from cbdetect.eigen import SolverConfig
+from cbdetect.inference import PopDynConfig
+from cbdetect.model import CbmParams, generate, write_instance
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.csv"
 
@@ -138,6 +141,29 @@ class TestSweep:
         assert main(self.ARGS + ["--out", str(b), "--jobs", "2"]) == EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("alphas,workers", [((6.0,), []), ((2.0, 6.0), [2])])
+    def test_workers_capped_at_trial_count(self, monkeypatch, alphas, workers):
+        """jobs=4 asks for at most one worker per trial, and a one-trial sweep starts no pool."""
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        spec = SweepSpec(n=400, epsilon=0.25, alphas=alphas, trials=1, methods=("NB", "BH"), seed=5)
+        assert cli.run_sweep(spec, jobs=4) == cli.run_sweep(spec)
+        assert started == workers
 
     def test_jobs_environment_variable_ignored(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -414,6 +440,12 @@ def public_functions():
                         yield f"{info.name}.{name}.{attr}", member
 
 
+def test_package_binds_only_its_submodules():
+    """Every name is imported from the module that defines it: the package re-exports none."""
+    public = {name for name in vars(cbdetect) if not name.startswith("_")}
+    assert public <= {info.name for info in pkgutil.iter_modules(cbdetect.__path__)}, sorted(public)
+
+
 def test_option_surface():
     """Every option each subcommand accepts; a new or returning knob shows up here."""
     top = cli.build_parser()
@@ -431,7 +463,7 @@ def test_option_surface():
 
 
 def test_settable_value_count():
-    """The count of docs/decisions.md, "One way to set each value": 26 + 18 + 7 = 51.
+    """The count of docs/decisions.md, "One way to set each value": 26 + 18 + 6 = 50.
 
     CLI options, the fields of the config objects and the defaulted
     keyword parameters of the package's public functions; the package
@@ -456,14 +488,13 @@ def test_settable_value_count():
         "cli.main": ["argv"],
         "eigen.power_leading": ["cfg"],
         "eigen.smallest_symmetric": ["cfg"],
-        "eigen.spectrum_to_csv": ["path"],
         "inference.bp_fixed_point": ["initial"],
         "inference.detect": ["epsilon"],
     }
     sources = " ".join(path.read_text() for path in Path(cbdetect.__file__).parent.glob("*.py"))
     assert "os.environ" not in sources and "getenv" not in sources
     counts = (options, sum(map(len, fields.values())), sum(map(len, defaulted.values())))
-    assert counts == (26, 18, 7) and sum(counts) == 51
+    assert counts == (26, 18, 6) and sum(counts) == 50
 
 
 def test_sweep_spec_validation():

@@ -3,23 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cbdetect import (
-    CbmParams,
+from cbdetect import eigen
+from cbdetect.eigen import (
     EigenResult,
     NoRealLeader,
     SolverConfig,
-    SparseMatrix,
-    build_bethe_hessian,
-    build_bprime,
     dense_spectrum,
-    generate,
+    gershgorin_upper,
     power_leading,
     smallest_symmetric,
     spectrum_to_csv,
     spectrum_to_svg,
 )
-from cbdetect import eigen
-from cbdetect.eigen import gershgorin_upper
+from cbdetect.model import CbmParams, generate
+from cbdetect.operators import SparseMatrix, build_bethe_hessian, build_bprime
 from cbdetect.rng import derive_seed
 from oracles import build_b, from_coo
 
@@ -207,11 +204,9 @@ class TestOracleEquivalence:
 
 
 class TestSpectrumExport:
-    def test_csv_roundtrip(self, tmp_path, triangle):
+    def test_csv_roundtrip(self, triangle):
         eig = dense_spectrum(build_bprime(triangle).toarray())
-        path = tmp_path / "spec.csv"
-        spectrum_to_csv(eig, path)
-        lines = path.read_text().splitlines()
+        lines = spectrum_to_csv(eig).splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 7
         vals = np.array([complex(float(a), float(b)) for a, b in

@@ -7,27 +7,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbdetect import (
-    CbmInstance,
-    CbmParams,
+from cbdetect import cli, inference
+from cbdetect.eigen import SolverConfig, smallest_symmetric
+from cbdetect.inference import (
     PopDynConfig,
-    SolverConfig,
     algorithm1,
     algorithm2,
-    alpha_detect,
-    beta0,
     bp_fixed_point,
     bp_run,
-    build_bethe_hessian,
     detect,
+    population_dynamics,
+)
+from cbdetect.model import (
+    CbmInstance,
+    CbmParams,
+    alpha_detect,
+    beta0,
     generate,
     overlap,
-    population_dynamics,
     sign_pm1,
-    smallest_symmetric,
     write_instance,
 )
-from cbdetect import cli, inference
+from cbdetect.operators import build_bethe_hessian
 from cbdetect.rng import derive_seed, substream
 from conftest import make_instance
 from oracles import bp_reference, bp_start, popdyn_draw_reference

@@ -10,21 +10,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbdetect import (
+from cbdetect import model
+from cbdetect.model import (
     CbmInstance,
     CbmParams,
     InstanceFormatError,
     alpha_detect,
     beta0,
+    _decode_pair_indices,
     empirical_alpha,
     generate,
     overlap,
     read_instance,
+    _sample_pair_indices,
     sign_pm1,
     write_instance,
 )
-from cbdetect import model
-from cbdetect.model import _decode_pair_indices, _sample_pair_indices
 from cbdetect.rng import substream
 from conftest import make_instance
 from oracles import sample_pair_indices_reference, write_reference
@@ -190,6 +191,14 @@ class TestPairSampling:
         pos = _sample_pair_indices(n, p, substream(1, "t"))
         assert np.all(np.diff(pos) > 0) and pos.min() >= 0 and pos.max() < total
         assert abs(len(pos) - total * p) < 4 * math.sqrt(total * p)
+
+    def test_positions_unbiased_above_2_53(self):
+        # C(n, 2) = 4.5*10^16 > 2^53, past which a float64 sum cannot hold every odd position
+        n = 3 * 10**8
+        pos = _sample_pair_indices(n, 0.002 / n, substream(1, "edges"))
+        assert np.all(np.diff(pos) > 0) and pos[0] >= 0 and pos[-1] < n * (n - 1) // 2
+        odd = np.count_nonzero(pos & 1) / len(pos)
+        assert abs(odd - 0.5) < 5 * 0.5 / math.sqrt(len(pos))
 
 
 class TestOverlap:

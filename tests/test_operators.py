@@ -7,17 +7,9 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbdetect import (
-    CbmParams,
-    DirectedEdgeIndex,
-    SparseMatrix,
-    build_bethe_hessian,
-    build_bprime,
-    empirical_alpha,
-    generate,
-    power_leading,
-)
-from cbdetect.model import index_dtype
+from cbdetect.eigen import power_leading
+from cbdetect.model import CbmParams, empirical_alpha, generate, index_dtype
+from cbdetect.operators import DirectedEdgeIndex, SparseMatrix, build_bethe_hessian, build_bprime
 from cbdetect.rng import derive_seed, substream
 from conftest import dense_weight_matrix, make_instance
 from oracles import bprime_eigvec_relations_check, build_b, degrees, edge_weights, from_coo, reversal, tails

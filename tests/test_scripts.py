@@ -44,3 +44,8 @@ def test_fig_spectrum_at_n_100(tmp_path):
         stem = tmp_path / f"spectrum_alpha{alpha}"
         assert len(stem.with_suffix(".csv").read_text().splitlines()) == 2 * 100 + 1  # header and 2n eigenvalues
         assert stem.with_suffix(".svg").exists()
+
+
+def test_fig_overlap_help():
+    usage, _ = run_script("fig_overlap.py", "--help", json_lines=False)
+    assert "--full" in usage and "--jobs" in usage

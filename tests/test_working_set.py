@@ -37,21 +37,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbdetect import (
+from cbdetect import inference
+from cbdetect.eigen import gershgorin_upper
+from cbdetect.inference import bp_fixed_point, _popdyn_draw
+from cbdetect.model import (
     CbmInstance,
     CbmParams,
     beta0,
-    bp_fixed_point,
-    build_bethe_hessian,
-    build_bprime,
     empirical_alpha,
     generate,
     read_instance,
     write_instance,
 )
-from cbdetect.eigen import gershgorin_upper
-from cbdetect import inference
-from cbdetect.inference import _popdyn_draw
+from cbdetect.operators import build_bethe_hessian, build_bprime
 from cbdetect.rng import substream
 
 
